@@ -140,7 +140,6 @@ let cse_pass (p : Program.t) =
               incr merged
           | None -> Hashtbl.add table k i))
     instrs;
-  if !merged > 0 then Obs.count "isa.opt.cse_merged" ~n:!merged;
   let p', map = rebuild p ~instrs ~subst ~keep in
   (p', map, !merged)
 
@@ -254,7 +253,6 @@ let fuse_pass (p : Program.t) =
       end
     done
   done;
-  if !fused > 0 then Obs.count "isa.opt.fused" ~n:!fused;
   let p', map = rebuild p ~instrs ~subst ~keep in
   (p', map, !fused)
 
@@ -275,7 +273,6 @@ let dce_pass (p : Program.t) =
   done;
   let removed = ref 0 in
   Array.iter (fun l -> if not l then incr removed) live;
-  if !removed > 0 then Obs.count "isa.opt.dce_removed" ~n:!removed;
   let p', map = rebuild p ~instrs ~subst:(identity_map n) ~keep:live in
   (p', map, !removed)
 
@@ -343,8 +340,26 @@ type probe = Program.t -> int * int array
    start earliest given per-class port availability; ties go to the
    higher critical-path priority, then the lower id.  Returns the
    issue order and the modeled makespan.  Deterministic by
-   construction. *)
+   construction.
+
+   A ready instruction of class [c] can start at
+   [max dep_ready free.(c)], where [free.(c)] is the class's earliest
+   port-free time.  [free.(c)] never decreases: an instruction issues
+   on the earliest port, at or after its free time, and occupies it
+   for at least one cycle.  So each class splits its ready
+   instructions into two heaps.  [avail] holds those with
+   [dep_ready <= free.(c)]: all start at [free.(c)], ordered by
+   (priority desc, id).  [waiting] holds the rest: each starts at its
+   own [dep_ready], ordered by (dep_ready, priority desc, id).  An
+   instruction moves from [waiting] to [avail] once [free.(c)]
+   reaches its [dep_ready], and never back.  A class's best candidate
+   is the head of [avail] when there is one (it starts strictly before
+   any waiting instruction), else the head of [waiting]; each step
+   takes the minimum (start, -priority, id) over the class heads,
+   the same instruction a scan of the whole ready list would pick.
+   Cost O(n (log n + classes + ports) + edges). *)
 let list_schedule ~(cost_model : cost_model) ?stalls (p : Program.t) =
+  let module Heap = Orianna_util.Heap in
   let cm = cost_model in
   let instrs = p.Program.instrs in
   let n = Array.length instrs in
@@ -383,46 +398,77 @@ let list_schedule ~(cost_model : cost_model) ?stalls (p : Program.t) =
     done;
     !k
   in
+  let free = Array.make cm.classes 0 in
   let dep_ready = Array.make n 0 in
-  let ready = ref [] in
-  for i = n - 1 downto 0 do
-    if indeg.(i) = 0 then ready := i :: !ready
+  let by_prio a b = if prio.(a) <> prio.(b) then compare prio.(b) prio.(a) else compare a b in
+  let avail = Array.init cm.classes (fun _ -> Heap.create ~cmp:by_prio) in
+  let waiting =
+    Array.init cm.classes (fun _ ->
+        Heap.create ~cmp:(fun a b ->
+            if dep_ready.(a) <> dep_ready.(b) then compare dep_ready.(a) dep_ready.(b)
+            else by_prio a b))
+  in
+  (* [dep_ready.(i)] is final once [i] is ready: all its producers
+     have issued. *)
+  let make_ready i =
+    let c = cls.(i) in
+    Heap.push (if dep_ready.(i) <= free.(c) then avail.(c) else waiting.(c)) i
+  in
+  for i = 0 to n - 1 do
+    if indeg.(i) = 0 then make_ready i
   done;
   let order = Array.make n 0 in
   let makespan = ref 0 in
   for pos = 0 to n - 1 do
     let best = ref (-1) and best_start = ref max_int in
-    List.iter
-      (fun i ->
-        let st = max dep_ready.(i) port_free.(cls.(i)).(earliest_port cls.(i)) in
-        if
-          st < !best_start
-          || st = !best_start
-             && (!best < 0 || prio.(i) > prio.(!best) || (prio.(i) = prio.(!best) && i < !best))
-        then begin
-          best := i;
-          best_start := st
-        end)
-      !ready;
+    let consider i st =
+      if
+        st < !best_start
+        || st = !best_start
+           && (!best < 0 || prio.(i) > prio.(!best) || (prio.(i) = prio.(!best) && i < !best))
+      then begin
+        best := i;
+        best_start := st
+      end
+    in
+    for c = 0 to cm.classes - 1 do
+      match Heap.peek avail.(c) with
+      | Some i -> consider i free.(c)
+      | None -> ( match Heap.peek waiting.(c) with Some i -> consider i dep_ready.(i) | None -> ())
+    done;
     let i = !best in
     if i < 0 then failwith "Opt.list_schedule: no ready instruction (cycle?)";
-    ready := List.filter (fun j -> j <> i) !ready;
-    let k = earliest_port cls.(i) in
-    let start = max dep_ready.(i) port_free.(cls.(i)).(k) in
-    let fin = start + lat.(i) in
-    port_free.(cls.(i)).(k) <- fin;
+    let c = cls.(i) in
+    ignore (Heap.pop (if Heap.is_empty avail.(c) then waiting.(c) else avail.(c)));
+    let k = earliest_port c in
+    let fin = !best_start + lat.(i) in
+    port_free.(c).(k) <- fin;
+    free.(c) <- port_free.(c).(earliest_port c);
+    let rec promote () =
+      match Heap.peek waiting.(c) with
+      | Some j when dep_ready.(j) <= free.(c) ->
+          ignore (Heap.pop waiting.(c));
+          Heap.push avail.(c) j;
+          promote ()
+      | Some _ | None -> ()
+    in
+    promote ();
     if fin > !makespan then makespan := fin;
     order.(pos) <- i;
     List.iter
       (fun c ->
         if fin > dep_ready.(c) then dep_ready.(c) <- fin;
         indeg.(c) <- indeg.(c) - 1;
-        if indeg.(c) = 0 then ready := c :: !ready)
+        if indeg.(c) = 0 then make_ready c)
       consumers.(i)
   done;
   (order, !makespan)
 
 let estimate_cycles ?(cost_model = static_cost_model) p = snd (list_schedule ~cost_model p)
+
+module Testing = struct
+  let list_schedule = list_schedule
+end
 
 (* ------------------------------------------------------------------ *)
 (* Operand-aware reorder                                               *)
@@ -445,9 +491,6 @@ let emit_order (p : Program.t) order =
           ~phase:ins.Instr.phase ~algo:ins.Instr.algo ~tag:ins.Instr.tag)
     order;
   let outputs = List.map (fun (nm, r) -> (nm, map.(r))) p.Program.outputs in
-  let moved = ref 0 in
-  Array.iteri (fun i m -> if i <> m then incr moved) map;
-  if !moved > 0 then Obs.count "isa.opt.reorder_moved" ~n:!moved;
   (Program.Builder.finish b ~outputs, map)
 
 let reorder_static ?stalls (p : Program.t) =
@@ -784,7 +827,6 @@ let superword_pass ?(min_batch = 3) ?(max_batch = 16) ?(kinds = `Mul) (p : Progr
       if !emitted <> nsup - total_members then
         failwith "Opt.superword: contracted graph not covered";
       let outputs = List.map (fun (nm, r) -> (nm, map.(r))) p.Program.outputs in
-      if !merged > 0 then Obs.count "isa.opt.superword_merged" ~n:!merged;
       (Program.Builder.finish b ~outputs, map, !merged)
     end
   end
@@ -845,32 +887,48 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
     let reorder_moved = ref 0 in
     let superword_merged = ref 0 in
     let deltas = ref [] in
-    let accept_reorder (q, m) =
-      Array.iteri (fun i mi -> if i <> mi then incr reorder_moved) m;
+    (* The measurement of the accepted stream [!prog], taken at most
+       once: a winning candidate's measurement becomes the accepted
+       one, so no stream is handed to [measure] twice. *)
+    let measured = ref None in
+    let measure_prog () =
+      match !measured with
+      | Some m -> m
+      | None ->
+          let m = measure !prog in
+          measured := Some m;
+          m
+    in
+    let accept (q, m) mq =
       prog := q;
-      map := compose !map m
+      map := compose !map m;
+      measured := mq
+    in
+    let accept_reorder ((_, m) as cand) mq =
+      Array.iteri (fun i mi -> if i <> mi then incr reorder_moved) m;
+      accept cand mq
     in
     (* Accept-if-better guard: with a measurement available, keep a
        candidate stream only if it does not cost cycles; without one
        (levels 1-2, no probe), reorder unconditionally as before. *)
-    (if not measurable then accept_reorder (reorder !prog)
+    (if not measurable then accept_reorder (reorder !prog) None
      else begin
-       let c0, _ = measure !prog in
+       let c0, _ = measure_prog () in
        let ((q, _) as cand) = reorder !prog in
-       let c1, _ = measure q in
+       let ((c1, _) as mq) = measure q in
        if c1 <= c0 then begin
-         accept_reorder cand;
+         accept_reorder cand (Some mq);
          deltas := ("reorder", c0 - c1) :: !deltas
        end
        else deltas := ("reorder (rejected)", c0 - c1) :: !deltas
      end);
     (* O2: one measured-stall feedback round. *)
     if level >= 2 && measurable && Option.is_some probe then begin
-      let c0, stalls = measure !prog in
+      let c0, stalls = measure_prog () in
       let ((q, _) as cand) = reorder ~stalls !prog in
-      let c1, _ = measure q in
+      let ((c1, _) as mq) = measure q in
       if c1 < c0 then begin
-        accept_reorder cand;
+        accept_reorder cand (Some mq);
         deltas := ("reorder+stalls", c0 - c1) :: !deltas
       end
     end;
@@ -885,25 +943,23 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
         incr fixrounds;
         improved := false;
         let label name = Printf.sprintf "%s#%d" name !fixrounds in
-        (let c0, stalls = measure !prog in
+        (let c0, stalls = measure_prog () in
          let ((q, _) as cand) = reorder ~stalls ~cost_model:cm !prog in
-         let c1, _ = measure q in
+         let ((c1, _) as mq) = measure q in
          if c1 < c0 then begin
-           accept_reorder cand;
+           accept_reorder cand (Some mq);
            deltas := (label "reorder+ports", c0 - c1) :: !deltas;
            improved := true
          end);
         List.iter
           (fun (kinds, name) ->
-            let c0, _ = measure !prog in
             let q, m, merged = superword_pass ~kinds !prog in
             if merged > 0 then begin
+              let c0, _ = measure_prog () in
               let q, m2, _ = dce_pass q in
-              let m = compose m m2 in
-              let c1, _ = measure q in
+              let ((c1, _) as mq) = measure q in
               if c1 < c0 then begin
-                prog := q;
-                map := compose !map m;
+                accept (q, compose m m2) (Some mq);
                 superword_merged := !superword_merged + merged;
                 deltas := (label name, c0 - c1) :: !deltas;
                 improved := true
@@ -917,7 +973,7 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
        deletions degrade the schedule; fixes the MobileRobot O1 cycle
        regression.) *)
     if measurable then begin
-      let cf, _ = measure !prog in
+      let cf, _ = measure_prog () in
       let corig, _ = measure p in
       if cf > corig then begin
         prog := p;
@@ -931,12 +987,8 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
     end;
     Program.validate !prog;
     let after = Program.length !prog in
-    if before > after then Obs.count "isa.opt.instructions_saved" ~n:(before - after);
     let cycle_deltas = List.rev !deltas in
-    let saved = List.fold_left (fun acc (_, d) -> if d > 0 then acc + d else acc) 0 cycle_deltas in
-    if saved > 0 then Obs.count "isa.opt.cycles_saved" ~n:saved;
-    ( !prog,
-      !map,
+    let report =
       {
         before;
         after;
@@ -946,7 +998,19 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
         reorder_moved = !reorder_moved;
         superword_merged = !superword_merged;
         cycle_deltas;
-      } )
+      }
+    in
+    (* The counters add up accepted work only: they mirror [report]. *)
+    let bump name n = if n > 0 then Obs.count name ~n in
+    bump "isa.opt.cse_merged" report.cse_merged;
+    bump "isa.opt.fused" report.fused;
+    bump "isa.opt.dce_removed" report.dce_removed;
+    bump "isa.opt.reorder_moved" report.reorder_moved;
+    bump "isa.opt.superword_merged" report.superword_merged;
+    bump "isa.opt.instructions_saved" (before - after);
+    bump "isa.opt.cycles_saved"
+      (List.fold_left (fun acc (_, d) -> if d > 0 then acc + d else acc) 0 cycle_deltas);
+    (!prog, !map, report)
   end
 
 let optimize ?level ?cost_model ?probe p =

@@ -24,10 +24,16 @@
     intermediate values instruction-by-instruction, not just final
     outputs.
 
-    Per-pass deltas are reported through [Orianna_obs] counters:
-    [isa.opt.cse_merged], [isa.opt.fused], [isa.opt.dce_removed],
-    [isa.opt.reorder_moved], [isa.opt.superword_merged],
-    [isa.opt.instructions_saved], [isa.opt.cycles_saved]. *)
+    {!optimize_traced} bumps [Orianna_obs] counters once per call,
+    from the totals of the {!report} it returns, so they count accepted
+    work only (rejected candidates and a whole-stream revert add
+    nothing): [isa.opt.cse_merged], [isa.opt.fused],
+    [isa.opt.dce_removed], [isa.opt.reorder_moved],
+    [isa.opt.superword_merged] mirror the report fields of the same
+    name, [isa.opt.instructions_saved] is [before - after] and
+    [isa.opt.cycles_saved] the sum of the positive [cycle_deltas].
+    The single passes below ({!cse}, {!fuse}, {!dce}, {!reorder},
+    {!superword}) touch no counter. *)
 
 type report = {
   before : int;  (** instruction count going in *)
@@ -68,8 +74,12 @@ type probe = Program.t -> int * int array
 val estimate_cycles : ?cost_model:cost_model -> Program.t -> int
 (** Modeled makespan: deterministic resource-constrained list
     scheduling under [cost_model] (default {!static_cost_model}).
-    Used as the acceptance metric at level 3 when no {!probe} is
-    available. *)
+    Each step issues the ready instruction that can start earliest,
+    ties to the higher critical-path priority, then the lower id; per
+    unit class, two binary heaps hold the ready instructions, so a
+    program of [n] instructions and [e] dependence edges costs
+    O(n (log n + classes + ports) + e).  Used as the acceptance metric
+    at level 3 when no {!probe} is available. *)
 
 val cse : Program.t -> Program.t * int array
 (** Merge structurally identical pure instructions, keeping the first
@@ -98,7 +108,9 @@ val reorder : ?stalls:int array -> ?cost_model:cost_model -> Program.t -> Progra
     to a sink under the static model.  With [cost_model]:
     resource-aware list scheduling over the {e whole} stream — port
     contention on every unit class is modeled with the injected
-    instance counts and latencies, and algo runs interleave freely.
+    instance counts and latencies, and algo runs interleave freely;
+    the order is the one {!estimate_cycles} schedules, at the same
+    O(n (log n + classes + ports) + e) cost.
     [stalls] (one entry per instruction, as produced by
     [Orianna_sim.Trace.operand_stalls] on {e this} program) adds
     measured operand-stall cycles attributed to each producer to its
@@ -134,7 +146,11 @@ val optimize : ?level:int -> ?cost_model:cost_model -> ?probe:probe -> Program.t
     in), every reorder is guarded accept-if-better and the final
     stream is reverted wholesale if it measures slower than the input,
     so optimization can never cost cycles under the measuring
-    schedule.  Default level is [1]. *)
+    schedule.  Each stream is measured once: the accepted stream's
+    (cycles, stalls) is kept, so the probe sees the stream after
+    fusion, CSE and DCE, every candidate, and the input, each exactly
+    once.
+    Default level is [1]. *)
 
 val optimize_traced :
   ?level:int -> ?cost_model:cost_model -> ?probe:probe -> Program.t -> Program.t * int array * report
@@ -143,3 +159,10 @@ val optimize_traced :
     [Program.validate]. *)
 
 val pp_report : Format.formatter -> report -> unit
+
+(** Internals exposed for the test suite only. *)
+module Testing : sig
+  val list_schedule : cost_model:cost_model -> ?stalls:int array -> Program.t -> int array * int
+  (** The scheduler behind {!estimate_cycles} and [reorder ~cost_model]:
+      the issue order and the modeled makespan. *)
+end

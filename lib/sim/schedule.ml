@@ -66,28 +66,27 @@ let make_scratch n =
   }
 
 (* Critical-path priority: longest latency-weighted path to a sink. *)
-let priorities (p : Program.t) latency_of =
+let priorities (p : Program.t) ~lat =
   let n = Array.length p.Program.instrs in
   let prio = Array.make n 0 in
   for i = n - 1 downto 0 do
     let ins = p.Program.instrs.(i) in
-    prio.(i) <- max prio.(i) (latency_of i);
-    Array.iter
-      (fun s -> prio.(s) <- max prio.(s) (prio.(i) + latency_of s))
-      ins.Instr.srcs
+    prio.(i) <- max prio.(i) lat.(i);
+    Array.iter (fun s -> prio.(s) <- max prio.(s) (prio.(i) + lat.(s))) ins.Instr.srcs
   done;
   prio
 
 (* Dataflow (OoO) list scheduling of the instruction subset [ids],
    starting no earlier than [t0].  Returns the subset makespan.
-   [cls_of] maps instruction id to its dense unit-class index (the
-   per-arrival [class_index] list scan, hoisted to one pass in [run]);
-   [scratch] is the caller's reusable dependency-tracking state.
+   [lat] holds each instruction's execution cycles; [cls_of] maps
+   instruction id to its dense unit-class index (the per-arrival
+   [class_index] list scan, hoisted to one pass in [run]); [scratch]
+   is the caller's reusable dependency-tracking state.
    Heap tie-breaking depends on push order, so the traversal orders
    here (ids order for roots, srcs order for dependency edges,
    prepend-then-iterate for children) are part of the bit-identical
    contract with the seed scheduler. *)
-let schedule_ooo (p : Program.t) ~latency_of ~prio ~cls_of ~scratch ~counts ~starts ~finishes
+let schedule_ooo (p : Program.t) ~lat ~prio ~cls_of ~scratch ~counts ~starts ~finishes
     ~ids ~t0 =
   let { in_subset; indeg; children; ready_dep_time } = scratch in
   Array.iter (fun id -> in_subset.(id) <- true) ids;
@@ -159,8 +158,7 @@ let schedule_ooo (p : Program.t) ~latency_of ~prio ~cls_of ~scratch ~counts ~sta
           | None -> continue_ := false
           | Some (_, id) ->
               let start = max !t ready_dep_time.(id) in
-              let lat = latency_of id in
-              let finish = start + lat in
+              let finish = start + lat.(id) in
               starts.(id) <- start;
               finishes.(id) <- finish;
               free.(c).(!best) <- finish;
@@ -223,7 +221,7 @@ let schedule_ooo (p : Program.t) ~latency_of ~prio ~cls_of ~scratch ~counts ~sta
    instruction, waits for its completion, then dispatches the next —
    instructions never overlap, whatever units exist (Sec. 7.1's
    ORIANNA-IO). *)
-let schedule_in_order (p : Program.t) ~latency_of ~counts ~starts ~finishes =
+let schedule_in_order (p : Program.t) ~lat ~counts ~starts ~finishes =
   ignore counts;
   let makespan = ref 0 in
   Array.iter
@@ -231,7 +229,7 @@ let schedule_in_order (p : Program.t) ~latency_of ~counts ~starts ~finishes =
       let id = ins.Instr.id in
       let dep_ready = Array.fold_left (fun acc s -> max acc finishes.(s)) 0 ins.Instr.srcs in
       let start = max dep_ready !makespan in
-      let finish = start + latency_of id in
+      let finish = start + lat.(id) in
       starts.(id) <- start;
       finishes.(id) <- finish;
       makespan := finish)
@@ -259,12 +257,16 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
   let n = Array.length p.Program.instrs in
   let src_shape id = (p.Program.instrs.(id).Instr.rows, p.Program.instrs.(id).Instr.cols) in
   let nominal = nominal_latency_of ~accel p in
-  (* [jitter] models degraded silicon: extra execution cycles per
+  (* Execution cycles per instruction, computed once: the priority
+     pass, the issue loop and the accounting all read this array.
+     [jitter] models degraded silicon: extra execution cycles per
      instruction, on top of the analytic unit latency.  The fault
      campaign injects here; without it the schedule is bit-identical
      to the jitter-free one. *)
-  let latency_of =
-    match jitter with None -> nominal | Some j -> fun id -> nominal id + max 0 (j id)
+  let lat =
+    match jitter with
+    | None -> Array.init n nominal
+    | Some j -> Array.init n (fun id -> nominal id + max 0 (j id))
   in
   let counts = accel.Accel.counts in
   let starts = Array.make n 0 and finishes = Array.make n 0 in
@@ -282,19 +284,19 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
   let issue_base = Array.make n 0 in
   let makespan =
     match policy with
-    | In_order -> schedule_in_order p ~latency_of ~counts ~starts ~finishes
+    | In_order -> schedule_in_order p ~lat ~counts ~starts ~finishes
     | Ooo_full ->
         let prio =
           match priority with
-          | Critical_path -> priorities p latency_of
+          | Critical_path -> priorities p ~lat
           | Fifo -> Array.init n (fun i -> -i)
         in
-        schedule_ooo p ~latency_of ~prio ~cls_of ~scratch:(make_scratch n) ~counts ~starts
+        schedule_ooo p ~lat ~prio ~cls_of ~scratch:(make_scratch n) ~counts ~starts
           ~finishes ~ids:(Array.init n Fun.id) ~t0:0
     | Ooo_fine ->
         let prio =
           match priority with
-          | Critical_path -> priorities p latency_of
+          | Critical_path -> priorities p ~lat
           | Fifo -> Array.init n (fun i -> -i)
         in
         (* Partition by algorithm in first-appearance order, one pass
@@ -314,7 +316,7 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
           (fun t0 algo ->
             let ids = Array.of_list (List.rev !(Hashtbl.find buckets algo)) in
             Array.iter (fun id -> issue_base.(id) <- t0) ids;
-            schedule_ooo p ~latency_of ~prio ~cls_of ~scratch ~counts ~starts ~finishes ~ids
+            schedule_ooo p ~lat ~prio ~cls_of ~scratch ~counts ~starts ~finishes ~ids
               ~t0)
           0 (List.rev !algo_order)
   in
@@ -334,9 +336,8 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
     (fun (ins : Instr.t) ->
       let id = ins.Instr.id in
       let c = cls_of.(id) in
-      let lat = latency_of id in
-      bump phase_busy ins.Instr.phase lat;
-      unit_busy_arr.(c) <- unit_busy_arr.(c) + lat;
+      bump phase_busy ins.Instr.phase lat.(id);
+      unit_busy_arr.(c) <- unit_busy_arr.(c) + lat.(id);
       unit_seen.(c) <- true;
       let base = issue_base.(id) in
       let ready = Array.fold_left (fun acc s -> max acc finishes.(s)) base ins.Instr.srcs in

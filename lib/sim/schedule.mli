@@ -80,8 +80,9 @@ val run :
   result
 (** [jitter] (fault injection) adds extra execution cycles to an
     instruction on top of its analytic unit latency; negative values
-    are clamped to 0.  Omitted, the schedule is bit-identical to
-    previous behaviour. *)
+    are clamped to 0.  It is called once per instruction id, before
+    scheduling, so it must be a pure function of the id.  Omitted, the
+    schedule is bit-identical to previous behaviour. *)
 
 val check_invariants : accel:Accel.t -> Program.t -> result -> (unit, string) Stdlib.result
 (** Runtime assertion of the schedule's internal accounting, re-derived

@@ -8,14 +8,16 @@
    delta, not just a mismatched output.
 
    Golden snapshots: per-app per-opcode instruction histograms at O0
-   and O1 live in test/golden/isa_opt_<app>.json.  After an
-   intentional compiler or optimizer change, regenerate them from the
-   repo root with
+   and O1 live in test/golden/isa_opt_<app>.json, and the content
+   hashes and base-accelerator cycles of the five -O 3 frame streams
+   in test/golden/o3_streams_<app>.json.  After an intentional
+   compiler or optimizer change, regenerate them from the repo root
+   with
 
      ORIANNA_UPDATE_GOLDEN=1 ORIANNA_GOLDEN_DIR=test/golden \
        dune exec test/test_isa_opt.exe
 
-   and commit the diff (the histograms are deterministic: fixed seed,
+   and commit the diff (both are deterministic: fixed seed,
    deterministic RNG, deterministic passes). *)
 
 open Orianna_linalg
@@ -269,6 +271,71 @@ let test_cycle_reduction_floor () =
     (Printf.sprintf ">= 5%% cycle cut on >= 2 apps (got %d)" at5)
     true (at5 >= 2)
 
+let test_o3_measures_each_stream_once () =
+  (* The fixpoint keeps the accepted stream's measurement next to the
+     stream, so the probe never sees the same program object twice. *)
+  let accel = Accel.base () in
+  let measure = Opt_loop.probe ~accel () in
+  List.iter
+    (fun (app : App.t) ->
+      let p0 = Compile.compile_application ~opt_level:0 (app.App.graphs (Rng.of_int bench_seed)) in
+      let seen = ref [] and repeats = ref 0 in
+      let probe q =
+        if List.exists (fun s -> s == q) !seen then incr repeats else seen := q :: !seen;
+        measure q
+      in
+      ignore (Opt.optimize_traced ~level:3 ~cost_model:(Accel.cost_model accel) ~probe p0);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: programs measured twice (of %d measured)" app.App.name
+           (List.length !seen))
+        0 !repeats)
+    App.all
+
+let test_counters_mirror_report () =
+  (* The isa.opt.* counters add up what optimize_traced accepted:
+     rejected candidates and a whole-stream revert leave no trace. *)
+  let module Obs = Orianna_obs.Obs in
+  let accel = Accel.base () in
+  let runs =
+    [
+      ("O1", fun p -> Opt.optimize_traced ~level:1 p);
+      ("O3", fun p -> Opt.optimize_traced ~level:3 p);
+      ("measured O1", fun p -> Opt_loop.optimize_traced ~accel ~level:1 p);
+      ("measured O3", fun p -> Opt_loop.optimize_traced ~accel ~level:3 p);
+    ]
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      List.iter
+        (fun (app : App.t) ->
+          let p0 =
+            Compile.compile_application ~opt_level:0 (app.App.graphs (Rng.of_int bench_seed))
+          in
+          List.iter
+            (fun (label, run) ->
+              Obs.reset ();
+              let _, _, r = run p0 in
+              let saved =
+                List.fold_left (fun acc (_, d) -> if d > 0 then acc + d else acc) 0 r.Opt.cycle_deltas
+              in
+              List.iter
+                (fun (name, expected) ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s %s: isa.opt.%s" app.App.name label name)
+                    expected
+                    (Obs.counter ("isa.opt." ^ name)))
+                [
+                  ("cse_merged", r.Opt.cse_merged);
+                  ("fused", r.Opt.fused);
+                  ("dce_removed", r.Opt.dce_removed);
+                  ("reorder_moved", r.Opt.reorder_moved);
+                  ("superword_merged", r.Opt.superword_merged);
+                  ("instructions_saved", r.Opt.before - r.Opt.after);
+                  ("cycles_saved", saved);
+                ])
+            runs)
+        App.all)
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: random factor graphs (generator mirrors test_properties)    *)
 
@@ -350,6 +417,158 @@ let prop_o3_fixpoint =
       equivalent p (p', map))
 
 (* ------------------------------------------------------------------ *)
+(* List scheduler: per-class heaps vs the ready-list scan               *)
+
+(* Verbatim copy of the scan-based [Opt.list_schedule] that the
+   per-class two-heap version replaced, kept as the reference the new
+   one must match exactly: same issue order, same makespan. *)
+module Ref_list_schedule = struct
+  open Opt
+
+  let list_schedule ~(cost_model : cost_model) ?stalls (p : Program.t) =
+    let cm = cost_model in
+    let instrs = p.Program.instrs in
+    let n = Array.length instrs in
+    (match stalls with
+    | Some s when Array.length s <> n -> invalid_arg "Opt.list_schedule: stalls length mismatch"
+    | _ -> ());
+    let src_shape s = (instrs.(s).Instr.rows, instrs.(s).Instr.cols) in
+    let lat = Array.init n (fun i -> max 1 (cm.latency instrs.(i) ~src_shape)) in
+    let cls =
+      Array.init n (fun i ->
+          let c = cm.class_of instrs.(i).Instr.op in
+          if c < 0 || c >= cm.classes then invalid_arg "Opt.list_schedule: class out of range";
+          c)
+    in
+    let w i = lat.(i) + match stalls with Some s -> s.(i) | None -> 0 in
+    let prio = Array.init n w in
+    for i = n - 1 downto 0 do
+      Array.iter
+        (fun s -> if prio.(s) < prio.(i) + w s then prio.(s) <- prio.(i) + w s)
+        instrs.(i).Instr.srcs
+    done;
+    let indeg = Array.make n 0 and consumers = Array.make n [] in
+    for i = 0 to n - 1 do
+      Array.iter
+        (fun s ->
+          indeg.(i) <- indeg.(i) + 1;
+          consumers.(s) <- i :: consumers.(s))
+        instrs.(i).Instr.srcs
+    done;
+    let port_free = Array.init cm.classes (fun c -> Array.make (max 1 cm.ports.(c)) 0) in
+    let earliest_port c =
+      let free = port_free.(c) in
+      let k = ref 0 in
+      for j = 1 to Array.length free - 1 do
+        if free.(j) < free.(!k) then k := j
+      done;
+      !k
+    in
+    let dep_ready = Array.make n 0 in
+    let ready = ref [] in
+    for i = n - 1 downto 0 do
+      if indeg.(i) = 0 then ready := i :: !ready
+    done;
+    let order = Array.make n 0 in
+    let makespan = ref 0 in
+    for pos = 0 to n - 1 do
+      let best = ref (-1) and best_start = ref max_int in
+      List.iter
+        (fun i ->
+          let st = max dep_ready.(i) port_free.(cls.(i)).(earliest_port cls.(i)) in
+          if
+            st < !best_start
+            || st = !best_start
+               && (!best < 0 || prio.(i) > prio.(!best) || (prio.(i) = prio.(!best) && i < !best))
+          then begin
+            best := i;
+            best_start := st
+          end)
+        !ready;
+      let i = !best in
+      if i < 0 then failwith "Opt.list_schedule: no ready instruction (cycle?)";
+      ready := List.filter (fun j -> j <> i) !ready;
+      let k = earliest_port cls.(i) in
+      let start = max dep_ready.(i) port_free.(cls.(i)).(k) in
+      let fin = start + lat.(i) in
+      port_free.(cls.(i)).(k) <- fin;
+      if fin > !makespan then makespan := fin;
+      order.(pos) <- i;
+      List.iter
+        (fun c ->
+          if fin > dep_ready.(c) then dep_ready.(c) <- fin;
+          indeg.(c) <- indeg.(c) - 1;
+          if indeg.(c) = 0 then ready := c :: !ready)
+        consumers.(i)
+    done;
+    (order, !makespan)
+end
+
+let same_schedule ~cost_model ?stalls p =
+  Opt.Testing.list_schedule ~cost_model ?stalls p
+  = Ref_list_schedule.list_schedule ~cost_model ?stalls p
+
+(* Either cost surface with 1-4 ports per class. *)
+let random_cost_model rng =
+  if Rng.int rng 2 = 0 then
+    {
+      Opt.static_cost_model with
+      Opt.ports = Array.init Opt.static_cost_model.Opt.classes (fun _ -> 1 + Rng.int rng 4);
+    }
+  else
+    Accel.cost_model
+      (Accel.make ~name:"random"
+         ~counts:(List.map (fun cls -> (cls, 1 + Rng.int rng 4)) Orianna_hw.Unit_model.all_classes)
+         ())
+
+let sched_case =
+  QCheck.(
+    make
+      Gen.(triple (int_range 0 1_000_000) (int_range 2 7) (int_range 0 1_000_000))
+      ~print:Print.(triple int int int))
+
+let prop_list_schedule_matches_scan =
+  QCheck.Test.make ~name:"opt: heap list scheduler = ready-list scan (order, makespan)"
+    ~count:300 sched_case (fun (seed, nvars, variant) ->
+      let rng = Rng.of_int variant in
+      let cost_model = random_cost_model rng in
+      List.for_all
+        (fun opt_level ->
+          let p = Compile.compile ~opt_level (random_linear_graph seed nvars) in
+          let stalls =
+            if Rng.int rng 2 = 0 then None
+            else Some (Array.init (Program.length p) (fun _ -> Rng.int rng 64))
+          in
+          same_schedule ~cost_model ?stalls p)
+        [ 0; 1 ])
+
+let test_list_schedule_apps () =
+  (* Every app's O0, O1 and static-O3 stream, under both cost surfaces,
+     with and without the stall vector the cycle simulator measures. *)
+  let accel = Accel.base () in
+  List.iter
+    (fun (app : App.t) ->
+      let graphs = app.App.graphs (Rng.of_int bench_seed) in
+      List.iter
+        (fun opt_level ->
+          let p = Compile.compile_application ~opt_level graphs in
+          let stalls =
+            Orianna_sim.Trace.operand_stalls p (Schedule.run ~accel ~policy:Schedule.Ooo_full p)
+          in
+          List.iter
+            (fun (model, cost_model) ->
+              List.iter
+                (fun (with_stalls, stalls) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s O%d, %s model, %s" app.App.name opt_level model with_stalls)
+                    true
+                    (same_schedule ~cost_model ?stalls p))
+                [ ("no stalls", None); ("measured stalls", Some stalls) ])
+            [ ("static", Opt.static_cost_model); ("base accel", Accel.cost_model accel) ])
+        [ 0; 1; 3 ])
+    App.all
+
+(* ------------------------------------------------------------------ *)
 (* Golden snapshots                                                    *)
 
 (* Default resolution works whether the exe runs from the test dir
@@ -363,12 +582,11 @@ let golden_dir () =
 let histogram_json p =
   Json.Obj (List.map (fun (op, n) -> (op, Json.int n)) (Program.stats p).Program.by_opcode)
 
-let test_golden (app : App.t) () =
-  let _, p0, p1 = compiled_at_levels app in
-  let actual = Json.Obj [ ("O0", histogram_json p0); ("O1", histogram_json p1) ] in
+(* Compare [actual] against golden/<prefix><app>.json, or rewrite the
+   file when ORIANNA_UPDATE_GOLDEN=1. *)
+let check_golden ~what ~prefix (app : App.t) actual =
   let path =
-    Filename.concat (golden_dir ())
-      ("isa_opt_" ^ String.lowercase_ascii app.App.name ^ ".json")
+    Filename.concat (golden_dir ()) (prefix ^ String.lowercase_ascii app.App.name ^ ".json")
   in
   if Sys.getenv_opt "ORIANNA_UPDATE_GOLDEN" = Some "1" then begin
     let oc = open_out path in
@@ -383,11 +601,38 @@ let test_golden (app : App.t) () =
     let expected = Json.parse contents in
     if expected <> actual then
       Alcotest.failf
-        "%s: opcode histogram drifted from %s.@.expected %s@.got      %s@.If the change is \
-         intentional, regenerate with:@.  ORIANNA_UPDATE_GOLDEN=1 ORIANNA_GOLDEN_DIR=test/golden \
-         dune exec test/test_isa_opt.exe"
-        app.App.name path (Json.to_string expected) (Json.to_string actual)
+        "%s: %s drifted from %s.@.expected %s@.got      %s@.If the change is intentional, \
+         regenerate with:@.  ORIANNA_UPDATE_GOLDEN=1 ORIANNA_GOLDEN_DIR=test/golden dune exec \
+         test/test_isa_opt.exe"
+        app.App.name what path (Json.to_string expected) (Json.to_string actual)
   end
+
+let test_golden (app : App.t) () =
+  let _, p0, p1 = compiled_at_levels app in
+  check_golden ~what:"opcode histogram" ~prefix:"isa_opt_" app
+    (Json.Obj [ ("O0", histogram_json p0); ("O1", histogram_json p1) ])
+
+(* The five streams of one -O 3 frame (static O3 inside Compile, then
+   the measured Opt_loop), pinned by content hash and by their cycles
+   on the base accelerator: an optimizer change that claims identical
+   output must leave these untouched. *)
+let test_golden_o3_streams (app : App.t) () =
+  let f = Orianna.Pipeline.frame ~opt_level:3 app ~seed:bench_seed in
+  let accel = Accel.base () in
+  let entry (name, p) =
+    ( name,
+      Json.Obj
+        [
+          ("hash", Json.Str (Printf.sprintf "%08lx" (Program.hash p)));
+          ("cycles", Json.int (Schedule.run ~accel ~policy:Schedule.Ooo_full p).Schedule.cycles);
+        ] )
+  in
+  check_golden ~what:"O3 stream" ~prefix:"o3_streams_" app
+    (Json.Obj
+       (List.map entry
+          ((("application", f.Orianna.Pipeline.program)
+           :: List.map (fun (name, p) -> ("algo:" ^ name, p)) f.Orianna.Pipeline.algo_programs)
+          @ [ ("dense", f.Orianna.Pipeline.dense_program) ])))
 
 (* ------------------------------------------------------------------ *)
 (* Encode round trip / CRC trailer / cache keys on optimized programs  *)
@@ -488,6 +733,9 @@ let () =
           Alcotest.test_case "superword equivalence" `Quick test_superword_app_equivalent;
           Alcotest.test_case "cycle monotonicity O0..O3" `Quick test_o3_monotone_cycles;
           Alcotest.test_case "cycle reduction floor" `Quick test_cycle_reduction_floor;
+          Alcotest.test_case "each stream measured once" `Quick
+            test_o3_measures_each_stream_once;
+          Alcotest.test_case "counters mirror the report" `Quick test_counters_mirror_report;
         ]
         @ List.map
             (fun (a : App.t) ->
@@ -497,10 +745,17 @@ let () =
         qcheck
           (List.map (fun (name, pass) -> prop_pass name pass) passes
           @ [ prop_pipeline; prop_superword; prop_o3_fixpoint ]) );
+      ( "list-sched",
+        Alcotest.test_case "apps O0/O1/O3" `Quick test_list_schedule_apps
+        :: qcheck [ prop_list_schedule_matches_scan ] );
       ( "golden",
         List.map
           (fun (a : App.t) -> Alcotest.test_case a.App.name `Quick (test_golden a))
-          App.all );
+          App.all
+        @ List.map
+            (fun (a : App.t) ->
+              Alcotest.test_case (a.App.name ^ " O3 streams") `Quick (test_golden_o3_streams a))
+            App.all );
       ( "encode",
         [
           Alcotest.test_case "roundtrip optimized" `Quick test_encode_roundtrip_optimized;
