@@ -604,13 +604,14 @@ let record_program_counters (p : Program.t) =
 
 (* Post-hoc instruction-stream optimization (Opt pass pipeline),
    applied to the finished stream of every lowering path behind one
-   [opt_level] knob (0 = off). *)
+   [opt_level] knob: the static levels only (Opt's level contract). *)
 let optimize_level ~opt_level (p : Program.t) =
-  if opt_level <= 0 then p
+  let level = min (Opt.clamp_level opt_level) Opt.last_static_level in
+  if level = 0 then p
   else
-    Obs.with_span "compile.optimize" ~attrs:[ ("level", string_of_int opt_level) ] @@ fun () ->
-    let p', _, rep = Opt.optimize_traced ~level:opt_level p in
-    Log.debug (fun m -> m "optimize (O%d): %a" opt_level Opt.pp_report rep);
+    Obs.with_span "compile.optimize" ~attrs:[ ("level", string_of_int level) ] @@ fun () ->
+    let p', _, rep = Opt.optimize_traced ~level p in
+    Log.debug (fun m -> m "optimize (O%d): %a" level Opt.pp_report rep);
     p'
 
 let compile_graph ?(algo = 0) ?(prefix = "") ?(ordering = Ordering.Min_degree) ?(cse = true) graph =

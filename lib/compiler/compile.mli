@@ -39,7 +39,8 @@ val compile :
     flips.  [opt_level] (default 1) runs the post-hoc
     {!Orianna_isa.Opt} pass pipeline (global CSE, peephole fusion,
     DCE, latency-aware reorder) over the finished stream; 0 turns it
-    off. *)
+    off, and every level above 1 means 1 (the level contract in
+    {!Orianna_isa.Opt}; the same holds for each lowering below). *)
 
 val compile_application :
   ?ordering:Ordering.strategy -> ?cse:bool -> ?opt_level:int -> (string * Graph.t) list -> Program.t

@@ -46,31 +46,22 @@ type frame = {
   program : Program.t;
   algo_programs : (string * Program.t) list;
   dense_program : Program.t;
+  opt_report : Opt.report;
 }
 
-(* Schedule-informed reorder (O2): run the program once on a reference
-   accelerator, attribute every operand-wait cycle to its
-   last-finishing producer, and feed the measured weights back into
-   [Opt.reorder].  The compile-time reorder uses only a static latency
-   model; this closes the loop with the cycle-level simulator.  At O3,
-   [Opt_loop.optimize] runs the full profile-guided fixpoint instead
-   (resource-aware reorder + superword batching, every step accepted
-   only if the measured cycle count improves). *)
-let reoptimize = Trace.reoptimize
-
+(* Opt's level contract: the compiler applies the static levels,
+   [Opt_loop] the measured ones. *)
 let frame ?(opt_level = 1) (app : App.t) ~seed =
   let graphs = app.App.graphs (Rng.of_int seed) in
-  let maybe_feedback p =
-    if opt_level >= 3 then Opt_loop.optimize ~level:opt_level p
-    else if opt_level >= 2 then reoptimize p
-    else p
+  let measured p = Opt_loop.optimize ~level:opt_level p in
+  let program, _, opt_report =
+    Opt_loop.optimize_traced ~level:opt_level (Compile.compile_application ~opt_level graphs)
   in
-  let program = Compile.compile_application ~opt_level graphs |> maybe_feedback in
   let algo_programs =
-    List.mapi (fun i (name, g) -> (name, Compile.compile ~algo:i ~opt_level g |> maybe_feedback)) graphs
+    List.mapi (fun i (name, g) -> (name, measured (Compile.compile ~algo:i ~opt_level g))) graphs
   in
-  let dense_program = Compile.compile_dense_application ~opt_level graphs |> maybe_feedback in
-  { app; graphs; program; algo_programs; dense_program }
+  let dense_program = measured (Compile.compile_dense_application ~opt_level graphs) in
+  { app; graphs; program; algo_programs; dense_program; opt_report }
 
 type evaluation = {
   eframe : frame;

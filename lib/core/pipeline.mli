@@ -42,21 +42,14 @@ type frame = {
   program : Program.t;  (** the merged application stream *)
   algo_programs : (string * Program.t) list;  (** per-algorithm streams *)
   dense_program : Program.t;  (** the VANILLA-HLS lowering *)
+  opt_report : Opt.report;
+      (** [program]'s measured passes from O1 (empty below [-O 2]) *)
 }
 
-val reoptimize : ?accel:Accel.t -> ?policy:Schedule.policy -> Program.t -> Program.t
-(** Schedule-informed reorder: simulate the program once (default: the
-    base accelerator, in-order issue — the policy most sensitive to
-    program order), attribute operand-wait cycles to their
-    last-finishing producers with [Trace.operand_stalls], and re-run
-    [Orianna_isa.Opt.reorder] with the measured weights.  Semantics
-    are unchanged; only the issue order moves. *)
-
 val frame : ?opt_level:int -> App.t -> seed:int -> frame
-(** Build and compile one frame of an application.  [opt_level]
-    (default 1) is forwarded to the compiler's instruction-stream
-    optimizer; at [>= 2] every compiled stream additionally gets one
-    {!reoptimize} feedback round. *)
+(** Build and compile one frame of an application at [opt_level]
+    (default 1), each of its five streams by the one recipe of the
+    level contract in {!Orianna_isa.Opt}. *)
 
 type evaluation = {
   eframe : frame;

@@ -31,9 +31,30 @@
     [isa.opt.dce_removed], [isa.opt.reorder_moved],
     [isa.opt.superword_merged] mirror the report fields of the same
     name, [isa.opt.instructions_saved] is [before - after] and
-    [isa.opt.cycles_saved] the sum of the positive [cycle_deltas].
+    [isa.opt.cycles_saved] is {!cycles_saved}.
     The single passes below ({!cse}, {!fuse}, {!dce}, {!reorder},
-    {!superword}) touch no counter. *)
+    {!superword}) touch no counter.
+
+    {b Levels.}  [-O N] names one stream, which every entry point
+    computes as [Opt_loop.optimize ~level:N (Compile.<lowering>
+    ~opt_level:N graphs)].  The contract splits at {!last_static_level}:
+    + O1 is the only level [Compile] applies: fusion, CSE, DCE and the
+      static reorder, unmeasured.  Every [opt_level >= 1] gives O1.
+    + [Opt_loop.optimize ~level] alone applies O2 (the measured
+      stall-weighted reorder round) and O3 (plus the measured
+      fixpoint), on the accelerator and policy its caller names
+      (default: base accelerator, [Ooo_full]).  Each step is accepted
+      only if it does not cost cycles, and the result never measures
+      slower than its input.  At [level <= 1] it returns its input
+      unchanged and runs no probe.
+    {!optimize_traced} itself takes any level, with or without a probe;
+    the tests call it from O0 as an oracle. *)
+
+val clamp_level : int -> int
+(** The level [-O n] means: [n] clamped to [0..3]. *)
+
+val last_static_level : int
+(** [1]: the last level that needs no accelerator. *)
 
 type report = {
   before : int;  (** instruction count going in *)
@@ -48,6 +69,9 @@ type report = {
           order; positive = cycles saved, rejected candidates are
           labeled and carry the regression they would have cost *)
 }
+
+val cycles_saved : report -> int
+(** The cycles the accepted passes saved: the positive [cycle_deltas]. *)
 
 type cost_model = {
   classes : int;  (** number of unit classes *)

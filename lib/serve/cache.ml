@@ -58,16 +58,11 @@ let structural_key ?(opt_level = 1) graphs =
     graphs;
   (* The optimizer changes the compiled artifact (and its
      [Program.hash]) without changing the template, so the cache key
-     is the pair (structural key, opt_level): entries compiled at
-     different levels must not alias.  Clamped to the effective level
-     (0 = off, 1 = static pipeline, 2 = one schedule-feedback round,
-     3+ = profile-guided fixpoint): levels that produce identical
-     artifacts must share one entry. *)
-  let effective =
-    if opt_level <= 0 then 0 else if opt_level = 1 then 1 else if opt_level = 2 then 2 else 3
-  in
+     is the pair (structural key, level): entries compiled at
+     different levels must not alias, and levels that clamp alike
+     produce the same artifact and share one entry. *)
   Buffer.add_string buf "O|";
-  Buffer.add_string buf (string_of_int effective);
+  Buffer.add_string buf (string_of_int (Opt.clamp_level opt_level));
   Buffer.add_char buf '\n';
   Int32.of_int (Checksum.crc32 (Buffer.contents buf) land 0xFFFFFFFF)
 

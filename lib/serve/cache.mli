@@ -44,9 +44,9 @@ val structural_key : ?opt_level:int -> (string * Orianna_fg.Graph.t) list -> int
     design.  [opt_level] (default 1) is mixed into the key: the
     instruction-stream optimizer changes the compiled artifact (and
     its {!Program.hash}) without changing the template, so entries
-    compiled at different levels must not alias.  The level is clamped
-    to the effective one (0, 1, or 2): levels beyond 2 compile
-    identically to 2 and share its entry. *)
+    compiled at different levels must not alias.  The level is
+    clamped with [Orianna_isa.Opt.clamp_level] (0..3): levels beyond 3
+    compile identically to 3 and share its entry. *)
 
 val program_key : Program.t -> int32
 (** The fallback content key: {!Program.hash}. *)

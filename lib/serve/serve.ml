@@ -171,18 +171,8 @@ type flight = {
 }
 
 let compile_graphs ~budget ~opt_level graphs =
-  let program = Compile.compile_application ~opt_level graphs in
-  (* Same schedule-feedback rounds as the compile/simulate/profile CLI
-     paths: one measured-stall reorder at -O2 (Pipeline.reoptimize),
-     the full profile-guided fixpoint at -O3 (Opt_loop.optimize).
-     Without them, O2/O3 artifacts would be byte-identical to O1 while
-     still being cached under a distinct (structural key, opt_level)
-     cache key. *)
-  let program =
-    if opt_level >= 3 then Opt_loop.optimize ~level:opt_level program
-    else if opt_level >= 2 then Trace.reoptimize program
-    else program
-  in
+  (* [-O N] as at every other entry point (Opt's level contract). *)
+  let program = Opt_loop.optimize ~level:opt_level (Compile.compile_application ~opt_level graphs) in
   let dse =
     Dse.optimize ~budget
       ~evaluate:(fun accel ->
@@ -1140,3 +1130,7 @@ let chrome_events r =
           c.transitions
   in
   header @ slices @ queue_series @ miss_series @ miss_instants @ chaos_instants
+
+module Testing = struct
+  let compile_graphs = compile_graphs
+end

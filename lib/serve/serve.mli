@@ -191,3 +191,10 @@ val chrome_events : report -> Orianna_obs.Chrome_trace.event list
     and cumulative deadline-miss counter series and chaos/health
     transition instants (one virtual second maps to one trace
     second). *)
+
+(** Internals exposed for the test suite only. *)
+module Testing : sig
+  val compile_graphs :
+    budget:Resource.t -> opt_level:int -> (string * Orianna_fg.Graph.t) list -> Orianna_isa.Program.t * Dse.result
+  (** A cache miss's compile: the [-O opt_level] program and its generated accelerator. *)
+end

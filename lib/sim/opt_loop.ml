@@ -5,10 +5,7 @@ open Orianna_hw
    owns the passes and the accept-if-better fixpoint, this module
    closes the loop with the cycle-level scheduler — compile ->
    [Schedule.run] -> operand-stall attribution -> feed both the cycle
-   count and the per-producer stall weights back into the optimizer.
-   Used by [Pipeline.frame], the serving compile path, the CLI and the
-   bench at [-O] levels that measure (every level when invoked through
-   {!optimize}). *)
+   count and the per-producer stall weights back into the optimizer. *)
 
 let probe ?accel ?(policy = Schedule.Ooo_full) () : Opt.probe =
   let accel = match accel with Some a -> a | None -> Accel.base () in
@@ -16,10 +13,14 @@ let probe ?accel ?(policy = Schedule.Ooo_full) () : Opt.probe =
     let r = Schedule.run ~accel ~policy p in
     (r.Schedule.cycles, Trace.operand_stalls p r)
 
-let optimize_traced ?accel ?(policy = Schedule.Ooo_full) ?(level = 1) p =
-  let accel = match accel with Some a -> a | None -> Accel.base () in
-  Opt.optimize_traced ~level ~cost_model:(Accel.cost_model accel) ~probe:(probe ~accel ~policy ()) p
+let optimize_traced ?accel ?(policy = Schedule.Ooo_full) ~level p =
+  (* The static levels are the compiler's: level 0 is [Opt]'s identity. *)
+  if Opt.clamp_level level <= Opt.last_static_level then Opt.optimize_traced ~level:0 p
+  else
+    let accel = match accel with Some a -> a | None -> Accel.base () in
+    Opt.optimize_traced ~level ~cost_model:(Accel.cost_model accel)
+      ~probe:(probe ~accel ~policy ()) p
 
-let optimize ?accel ?policy ?level p =
-  let p', _, _ = optimize_traced ?accel ?policy ?level p in
+let optimize ?accel ?policy ~level p =
+  let p', _, _ = optimize_traced ?accel ?policy ~level p in
   p'

@@ -183,9 +183,3 @@ let operand_stalls (p : Program.t) (r : Schedule.result) =
         out.(!culprit) <- out.(!culprit) + (!ready - base))
     p.Program.instrs;
   out
-
-let reoptimize ?accel ?(policy = Schedule.In_order) (p : Program.t) =
-  let accel = match accel with Some a -> a | None -> Accel.base () in
-  let r = Schedule.run ~accel ~policy p in
-  let stalls = operand_stalls p r in
-  fst (Opt.reorder ~stalls p)

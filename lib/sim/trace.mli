@@ -42,12 +42,3 @@ val operand_stalls : Program.t -> Schedule.result -> int array
     weight vector [Orianna_isa.Opt.reorder] accepts to hoist
     long-latency producers using measured rather than modeled
     latencies. *)
-
-val reoptimize :
-  ?accel:Orianna_hw.Accel.t -> ?policy:Schedule.policy -> Program.t -> Program.t
-(** Schedule-informed reorder (the [-O 2] feedback round): run the
-    program once on [accel] (default [Accel.base ()]) under [policy]
-    (default [In_order]), attribute operand-wait cycles to their
-    last-finishing producers with {!operand_stalls}, and feed the
-    measured weights back into [Opt.reorder].  Shared by
-    [Pipeline.reoptimize] and the serving runtime's compile path. *)
