@@ -30,8 +30,7 @@ let rng = Rng.of_int 987
 (* Shared provenance header for every BENCH_*.json artifact.  It is
    the only job-count- or machine-dependent part of the files, and it
    lives at the top level only, so the payload sections still diff
-   byte-for-byte across job counts (CI strips "meta" before
-   comparing). *)
+   byte-for-byte across job counts once "meta" is stripped. *)
 let bench_meta () =
   Orianna_obs.Report.meta_json
     (Orianna_obs.Report.standard_meta ~jobs:(Orianna_par.Pool.default_jobs ()) ())
@@ -139,12 +138,7 @@ let run_micro_benchmarks () =
 let emit_serve_bench () =
   let module Serve = Orianna_serve.Serve in
   let module Request = Orianna_serve.Request in
-  let trace =
-    Request.generate ~rng:(Rng.of_int 42)
-      ~shape:(Request.Poisson { rate_hz = 20000.0 })
-      ~apps:(List.map (fun (a : App.t) -> a.App.name) App.all)
-      ~deadline_s:(1e-3, 4e-3) ~n:300
-  in
+  let trace = Request.default_trace ~rng:(Rng.of_int 42) ~apps:App.names ~n:300 in
   let report = Serve.run ~trace () in
   let path = "BENCH_serve.json" in
   let oc = open_out path in
@@ -163,8 +157,9 @@ let emit_serve_bench () =
 (* Fault-tolerance macro-benchmark: the fleet chaos campaign swept over
    fault intensities (fixed seed, all four applications), summarized to
    BENCH_chaos.json.  The campaign is deterministic at any job count,
-   so any diff in the payload is a behaviour change; CI gates the
-   fixed-seed serve smoke against ci/chaos_baseline.json separately. *)
+   so any diff in the payload is a behaviour change; the fixed-seed
+   serve runs are checked against ci/chaos_baseline.json by
+   test/test_serve.ml. *)
 let emit_chaos_bench () =
   let module Json = Orianna_obs.Json in
   let module FC = Orianna_fault.Fleet_chaos in
@@ -286,10 +281,9 @@ let emit_sessions_bench () =
 (* Instruction-stream optimizer macro-benchmark: every app's O0..O3
    stream (fixed seed, so deterministic), built as every entry point
    builds it, simulated on the base accelerator and summarized to
-   BENCH_isa_opt.json.  CI gates this file against
-   ci/isa_opt_baseline.json: O3 must keep reducing cycles by >= 5% on
-   at least two apps and must never schedule any app slower than its
-   O0 stream. *)
+   BENCH_isa_opt.json.  The bounds in ci/isa_opt_baseline.json are
+   checked on the same streams by test/test_isa_opt.ml's cycle
+   reduction floor, not on this file. *)
 let emit_isa_opt_bench () =
   let module Json = Orianna_obs.Json in
   let module Program = Orianna_isa.Program in
@@ -358,7 +352,7 @@ let emit_isa_opt_bench () =
    timed fully sequential (jobs = 1) and on the domain pool (jobs = 4),
    with a structural-equality check that both runs produced the same
    result — the determinism contract, enforced as part of the perf
-   artifact.  Emitted to BENCH_par.json.  CI gates the determinism
+   artifact.  Emitted to BENCH_par.json.  [--check] gates the determinism
    check, the noise-aware wall-clock regression band, and (on runners
    with at least [par_jobs] cores) a hard speedup floor per workload —
    the work-stealing pool is expected to be genuinely fast now, so a

@@ -29,14 +29,18 @@ module Fault = Orianna_fault.Fault
 module Campaign = Orianna_fault.Campaign
 
 let app_arg =
-  let parse s =
-    try Ok (App.find s)
-    with Not_found ->
-      Error (`Msg (Printf.sprintf "unknown application %S (try: %s)" s
-                     (String.concat ", " (List.map (fun (a : App.t) -> a.App.name) App.all))))
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (App.lookup s) in
   let print ppf (a : App.t) = Format.fprintf ppf "%s" a.App.name in
   Arg.conv (parse, print)
+
+let apps_flag =
+  let parse s = Result.map_error (fun m -> `Msg m) (App.select s) in
+  let print ppf apps =
+    Format.fprintf ppf "%s" (if apps = App.names then "all" else String.concat "," apps)
+  in
+  Arg.(value & opt (conv (parse, print)) App.names
+       & info [ "apps" ] ~docv:"APPS"
+           ~doc:"Comma-separated application names, or \"all\" for every registered app.")
 
 let app_pos =
   Arg.(required & pos 0 (some app_arg) None & info [] ~docv:"APP" ~doc:"Application name (MobileRobot, Manipulator, AutoVehicle, Quadrotor).")
@@ -53,6 +57,11 @@ let jobs_flag =
                  bit-identical for any value.")
 
 let set_jobs jobs = Option.iter Orianna_par.Pool.set_default_jobs jobs
+
+let policy_flag =
+  Arg.(value
+       & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
+       & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
 
 let opt_level_flag =
   Arg.(value & opt int 1
@@ -75,27 +84,37 @@ let report_flag =
        & info [ "report" ] ~docv:"FILE"
            ~doc:"Write a flat JSON run report: counters, gauges, histogram summaries and the span tree.")
 
-(* Run [f] with the telemetry registry enabled whenever an export was
-   requested; [f] returns extra trace events (e.g. the scheduler's
-   per-instruction slices) to append after the pipeline spans. *)
 (* Command-specific meta fields first, then the standard provenance
    header (git rev, jobs, domains, ocaml version, timestamp). *)
 let std_meta meta =
   Report.standard_meta ~extra:meta ~jobs:(Orianna_par.Pool.default_jobs ()) ()
 
-let with_obs ~trace ~report ~meta f =
-  if trace <> None || report <> None then Obs.enable ();
-  let extra = f () in
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+  Format.printf "wrote %s@." path
+
+(* Write the requested exports: the Chrome trace (the span forest, then
+   [events ()]) and the flat run report under the full [meta] header,
+   with [extra] sections. *)
+let export ?(events = fun () -> []) ?(extra = []) ~trace ~report meta =
   Option.iter
     (fun path ->
-      Chrome_trace.write_file path (Chrome_trace.of_spans (Obs.spans ()) @ extra);
+      Chrome_trace.write_file path (Chrome_trace.of_spans (Obs.spans ()) @ events ());
       Format.printf "wrote %s@." path)
     trace;
   Option.iter
     (fun path ->
-      Report.write_file ~meta:(std_meta meta) path;
+      Report.write_file ~meta ~extra path;
       Format.printf "wrote %s@." path)
     report
+
+(* Run [f] with the telemetry registry enabled whenever an export was
+   requested; [f] returns extra trace events (e.g. the scheduler's
+   per-instruction slices) to append after the pipeline spans. *)
+let with_obs ~trace ~report ~meta f =
+  if trace <> None || report <> None then Obs.enable ();
+  let events = f () in
+  export ~trace ~report ~events:(fun () -> events) (std_meta meta)
 
 (* ---------------- solve ---------------- *)
 
@@ -206,11 +225,6 @@ let generate_cmd =
 (* ---------------- simulate ---------------- *)
 
 let simulate_cmd =
-  let policy =
-    Arg.(value
-         & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
-         & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
-  in
   let timeline =
     Arg.(value & flag
          & info [ "timeline" ]
@@ -241,7 +255,7 @@ let simulate_cmd =
     if trace <> None then Orianna_sim.Trace.chrome_events frame.Pipeline.program r else []
   in
   let term =
-    Term.(const run $ app_pos $ seed_flag $ jobs_flag $ opt_level_flag $ policy $ timeline
+    Term.(const run $ app_pos $ seed_flag $ jobs_flag $ opt_level_flag $ policy_flag $ timeline
           $ trace_flag $ report_flag)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Cycle-level execution on a generated accelerator.") term
@@ -249,11 +263,6 @@ let simulate_cmd =
 (* ---------------- trace ---------------- *)
 
 let trace_cmd =
-  let policy =
-    Arg.(value
-         & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
-         & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
-  in
   let gantt = Arg.(value & opt (some string) None & info [ "gantt" ] ~docv:"FILE" ~doc:"Write a per-instruction schedule CSV.") in
   let dot = Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc:"Write the dependency DAG as GraphViz dot.") in
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"Write a Gantt chart as SVG.") in
@@ -263,17 +272,11 @@ let trace_cmd =
     let r = Schedule.run ~accel ~policy frame.Pipeline.program in
     print_string (Orianna_sim.Trace.utilization_timeline frame.Pipeline.program r);
     Format.printf "makespan: %d cycles (%.1f us)@." r.Schedule.cycles (r.Schedule.seconds *. 1e6);
-    let write path contents =
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Format.printf "wrote %s@." path
-    in
-    Option.iter (fun path -> write path (Orianna_sim.Trace.gantt_csv frame.Pipeline.program r)) gantt;
-    Option.iter (fun path -> write path (Orianna_sim.Trace.to_dot frame.Pipeline.program)) dot;
-    Option.iter (fun path -> write path (Orianna_viz.Plots.gantt_svg frame.Pipeline.program r)) svg
+    Option.iter (fun path -> write_file path (Orianna_sim.Trace.gantt_csv frame.Pipeline.program r)) gantt;
+    Option.iter (fun path -> write_file path (Orianna_sim.Trace.to_dot frame.Pipeline.program)) dot;
+    Option.iter (fun path -> write_file path (Orianna_viz.Plots.gantt_svg frame.Pipeline.program r)) svg
   in
-  let term = Term.(const run $ app_pos $ seed_flag $ policy $ gantt $ dot $ svg) in
+  let term = Term.(const run $ app_pos $ seed_flag $ policy_flag $ gantt $ dot $ svg) in
   Cmd.v (Cmd.info "trace" ~doc:"Dump schedule timelines, Gantt CSVs and dependency graphs.") term
 
 (* ---------------- mission ---------------- *)
@@ -327,16 +330,10 @@ let sphere_cmd =
     if csv <> None || svg <> None then begin
       let ds = Sphere.generate Sphere.default_config in
       let estimate = Sphere.unified_estimate ds in
-      let write path contents =
-        let oc = open_out path in
-        output_string oc contents;
-        close_out oc;
-        Format.printf "wrote %s@." path
-      in
-      Option.iter (fun path -> write path (Sphere.trajectory_csv ds ~estimate)) csv;
+      Option.iter (fun path -> write_file path (Sphere.trajectory_csv ds ~estimate)) csv;
       Option.iter
         (fun path ->
-          write path
+          write_file path
             (Orianna_viz.Plots.trajectory_svg ~truth:ds.Sphere.truth ~initial:ds.Sphere.initial
                ~estimate ()))
         svg
@@ -374,10 +371,7 @@ let g2o_cmd =
               | Orianna_fg.Var.Se3 _ | Orianna_fg.Var.Vector _ -> None)
             (Graph.variables g)
         in
-        let oc = open_out path in
-        output_string oc (Orianna_apps.G2o.to_string entries);
-        close_out oc;
-        Format.printf "wrote %s@." path)
+        write_file path (Orianna_apps.G2o.to_string entries))
       out
   in
   let term = Term.(const run $ file $ out) in
@@ -386,11 +380,6 @@ let g2o_cmd =
 (* ---------------- profile ---------------- *)
 
 let profile_cmd =
-  let policy =
-    Arg.(value
-         & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
-         & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
-  in
   let json_flag =
     Arg.(value & flag
          & info [ "json" ]
@@ -534,17 +523,8 @@ let profile_cmd =
         (if mw_seq > 0.0 then mw_par /. mw_seq else 0.0)
         mc_seq mc_par jc_seq jc_par
     end;
-    Option.iter
-      (fun path ->
-        Chrome_trace.write_file path
-          (Chrome_trace.of_spans (Obs.spans ()) @ Pool.chrome_events par_records);
-        Format.printf "wrote %s@." path)
-      trace;
-    Option.iter
-      (fun path ->
-        Report.write_file ~meta ~extra:[ par_json ] path;
-        Format.printf "wrote %s@." path)
-      report
+    export ~trace ~report ~events:(fun () -> Pool.chrome_events par_records) ~extra:[ par_json ]
+      meta
   in
   let run app seed jobs opt_level policy json par trace report =
     if par then
@@ -639,23 +619,14 @@ let profile_cmd =
       Texttable.print t
     end
     end;
-    Option.iter
-      (fun path ->
-        Chrome_trace.write_file path
-          (Chrome_trace.of_spans (Obs.spans ())
-          @ Orianna_sim.Trace.chrome_events frame.Pipeline.program r);
-        Format.printf "wrote %s@." path)
-      trace;
-    Option.iter
-      (fun path ->
-        Report.write_file ~meta ~extra:[ profile_extra ] path;
-        Format.printf "wrote %s@." path)
-      report
+    export ~trace ~report
+      ~events:(fun () -> Orianna_sim.Trace.chrome_events frame.Pipeline.program r)
+      ~extra:[ profile_extra ] meta
     end
   in
   let term =
     Term.(
-      const run $ app_pos $ seed_flag $ jobs_flag $ opt_level_flag $ policy $ json_flag
+      const run $ app_pos $ seed_flag $ jobs_flag $ opt_level_flag $ policy_flag $ json_flag
       $ par_flag $ trace_flag $ report_flag)
   in
   Cmd.v
@@ -669,11 +640,6 @@ let faults_cmd =
   let missions =
     Arg.(value & opt int Campaign.default_config.Campaign.missions
          & info [ "missions" ] ~docv:"N" ~doc:"Monte-Carlo missions (one injected fault each).")
-  in
-  let policy =
-    Arg.(value
-         & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
-         & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
   in
   let retries =
     Arg.(value & opt int Campaign.default_config.Campaign.max_retries
@@ -739,7 +705,7 @@ let faults_cmd =
     end
   in
   let term =
-    Term.(const run $ app_pos $ seed_flag $ jobs_flag $ missions $ policy $ retries $ events
+    Term.(const run $ app_pos $ seed_flag $ jobs_flag $ missions $ policy_flag $ retries $ events
           $ json_flag $ trace_flag $ report_flag)
   in
   Cmd.v
@@ -747,20 +713,39 @@ let faults_cmd =
        ~doc:"Monte-Carlo fault-injection campaign: inject seeded faults, report detection / recovery / escape rates, exit non-zero iff a fault escapes.")
     term
 
-(* ---------------- serve ---------------- *)
+(* ---------------- serve / sessions / chaos ---------------- *)
+
+let dispatch_policy_flag default =
+  let module Dispatch = Orianna_serve.Dispatch in
+  Arg.(value
+       & opt (enum [ ("fifo", Dispatch.Fifo); ("edf", Dispatch.Edf); ("least-loaded", Dispatch.Least_loaded) ])
+           default
+       & info [ "policy" ] ~doc:"Dispatch policy: fifo, edf or least-loaded.")
+
+(* The tail [serve] and [sessions] share: run the DES with telemetry on
+   when an export was asked for, write the Chrome trace and the flat
+   run report (the campaign summary under "serve", the shape `profile
+   --json` uses for its section), then print JSON or the tables. *)
+let serve_and_report ~meta ~json ~trace ~report run =
+  let module Serve = Orianna_serve.Serve in
+  if trace <> None || report <> None then Obs.enable ();
+  let r = run () in
+  export ~trace ~report ~events:(fun () -> Serve.chrome_events r)
+    ~extra:[ ("serve", Serve.report_json r) ] meta;
+  if json then
+    print_endline
+      (Orianna_obs.Json.to_string
+         (Orianna_obs.Json.Obj [ ("meta", Report.meta_json meta); ("serve", Serve.report_json r) ]))
+  else print_string (Serve.table r);
+  r
 
 let serve_cmd =
   let module Serve = Orianna_serve.Serve in
   let module Request = Orianna_serve.Request in
-  let module Dispatch = Orianna_serve.Dispatch in
-  let module Cache = Orianna_serve.Cache in
-  let apps_flag =
-    Arg.(value & opt string "all"
-         & info [ "apps" ] ~docv:"APPS"
-             ~doc:"Comma-separated application names, or \"all\" for every registered app.")
-  in
   let requests = Arg.(value & opt int 200 & info [ "requests" ] ~docv:"N" ~doc:"Trace length.") in
-  let rate = Arg.(value & opt float 20000.0 & info [ "rate" ] ~docv:"HZ" ~doc:"Mean arrival rate.") in
+  let rate =
+    Arg.(value & opt float Request.default_rate_hz & info [ "rate" ] ~docv:"HZ" ~doc:"Mean arrival rate.")
+  in
   let burst =
     Arg.(value & opt int 0
          & info [ "burst" ] ~docv:"K"
@@ -769,12 +754,6 @@ let serve_cmd =
   let instances =
     Arg.(value & opt int Serve.default_config.Serve.instances
          & info [ "instances" ] ~docv:"N" ~doc:"Accelerator fleet size.")
-  in
-  let policy =
-    Arg.(value
-         & opt (enum [ ("fifo", Dispatch.Fifo); ("edf", Dispatch.Edf); ("least-loaded", Dispatch.Least_loaded) ])
-             Serve.default_config.Serve.policy
-         & info [ "policy" ] ~doc:"Dispatch policy: fifo, edf or least-loaded.")
   in
   let queue =
     Arg.(value & opt int Serve.default_config.Serve.queue_capacity
@@ -789,7 +768,8 @@ let serve_cmd =
          & info [ "cache" ] ~docv:"N" ~doc:"Compile-cache capacity (entries).")
   in
   let deadline_ms =
-    Arg.(value & opt (pair ~sep:',' float float) (1.0, 4.0)
+    let lo, hi = Request.default_deadline_s in
+    Arg.(value & opt (pair ~sep:',' float float) (lo *. 1e3, hi *. 1e3)
          & info [ "deadline-ms" ] ~docv:"LO,HI" ~doc:"Uniform deadline slack range in ms.")
   in
   let mask =
@@ -826,17 +806,12 @@ let serve_cmd =
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the machine-readable report to stdout.")
   in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Compare the deadline-miss rate against a checked-in baseline JSON and exit \
-                   non-zero on regression.")
-  in
   let chaos_rate =
     Arg.(value & opt float 0.0
          & info [ "chaos" ] ~docv:"RATE"
              ~doc:"Inject seeded instance faults targeting this steady-state per-instance \
-                   unavailability (e.g. 0.1); 0 disables chaos.")
+                   unavailability (e.g. 0.1); 0 disables chaos. A chaos run exits non-zero if \
+                   an admitted request is lost silently.")
   in
   let mttr =
     Arg.(value & opt float Orianna_serve.Chaos.default.Orianna_serve.Chaos.restart_mean_s
@@ -857,32 +832,13 @@ let serve_cmd =
          & info [ "chaos-seed" ] ~docv:"SEED"
              ~doc:"Seed for the chaos schedule (defaults to the trace seed).")
   in
-  let chaos_baseline =
-    Arg.(value & opt (some file) None
-         & info [ "chaos-baseline" ] ~docv:"FILE"
-             ~doc:"Gate the chaos run on a checked-in baseline: availability floor and p99 \
-                   ceiling per apps key; also fails on any silent request loss.")
-  in
-  let run apps_spec seed jobs opt_level requests rate burst instances policy queue max_batch
-      cache_capacity deadline_ms masked json baseline chaos_rate mttr retries hedge chaos_seed
-      chaos_baseline trace report =
+  let run apps seed jobs opt_level requests rate burst instances policy queue max_batch
+      cache_capacity (dl_lo, dl_hi) masked json chaos_rate mttr retries hedge chaos_seed trace
+      report =
     set_jobs jobs;
-    let apps =
-      if String.lowercase_ascii apps_spec = "all" then List.map (fun (a : App.t) -> a.App.name) App.all
-      else
-        String.split_on_char ',' apps_spec
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun s -> (App.find s).App.name)
-    in
-    if apps = [] then begin
-      Format.eprintf "no applications selected@.";
-      exit 2
-    end;
     let shape =
       if burst > 1 then Request.Bursty { rate_hz = rate; burst } else Request.Poisson { rate_hz = rate }
     in
-    let dl_lo, dl_hi = deadline_ms in
     let trace_reqs =
       Request.generate ~rng:(Rng.of_int seed) ~shape ~apps
         ~deadline_s:(dl_lo *. 1e-3, dl_hi *. 1e-3)
@@ -898,7 +854,7 @@ let serve_cmd =
     in
     let config =
       {
-        Orianna_serve.Serve.default_config with
+        Serve.default_config with
         Serve.instances;
         masked;
         policy;
@@ -918,7 +874,7 @@ let serve_cmd =
            ("apps", String.concat "," apps);
            ("seed", string_of_int seed);
            ("requests", string_of_int requests);
-           ("policy", Dispatch.policy_name policy);
+           ("policy", Orianna_serve.Dispatch.policy_name policy);
          ]
         @
         if chaos = None then []
@@ -930,109 +886,22 @@ let serve_cmd =
             ("hedge", string_of_bool hedge);
           ])
     in
-    if trace <> None || report <> None then Obs.enable ();
-    let r = Serve.run ~config ~trace:trace_reqs () in
-    Option.iter
-      (fun path ->
-        Chrome_trace.write_file path
-          (Chrome_trace.of_spans (Obs.spans ()) @ Serve.chrome_events r);
-        Format.printf "wrote %s@." path)
-      trace;
-    (* The flat run report embeds the campaign summary under "serve",
-       the same shape `profile --json` uses for its section. *)
-    Option.iter
-      (fun path ->
-        Report.write_file ~meta ~extra:[ ("serve", Serve.report_json r) ] path;
-        Format.printf "wrote %s@." path)
-      report;
-    if json then print_endline (Orianna_obs.Json.to_string
-                                  (Orianna_obs.Json.Obj
-                                     [
-                                       ("meta", Orianna_obs.Json.Obj (List.map (fun (k, v) -> (k, Orianna_obs.Json.Str v)) meta));
-                                       ("serve", Serve.report_json r);
-                                     ]))
-    else print_string (Serve.table r);
-    Option.iter
-      (fun path ->
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let json = Orianna_obs.Json.parse contents in
-        let key = String.lowercase_ascii apps_spec in
-        match Orianna_obs.Json.member key json with
-        | None ->
-            Format.eprintf "baseline %s has no entry for %S@." path key;
-            exit 1
-        | Some entry -> (
-            match Orianna_obs.Json.member "deadline_miss_rate" entry with
-            | Some (Orianna_obs.Json.Num expected) ->
-                let tolerance = 0.005 in
-                if r.Serve.deadline_miss_rate > expected +. tolerance then begin
-                  Format.eprintf
-                    "DEADLINE-MISS REGRESSION: %s: rate %.4f exceeds baseline %.4f (+%.3f tolerance)@."
-                    key r.Serve.deadline_miss_rate expected tolerance;
-                  exit 1
-                end
-                else
-                  Format.printf "baseline ok: %s deadline-miss rate %.4f <= %.4f (+%.3f)@." key
-                    r.Serve.deadline_miss_rate expected tolerance
-            | _ ->
-                Format.eprintf "baseline %s entry %S lacks deadline_miss_rate@." path key;
-                exit 1))
-      baseline;
-    Option.iter
-      (fun path ->
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let bjson = Orianna_obs.Json.parse contents in
-        let key = String.lowercase_ascii apps_spec in
-        (* Conservation first: a chaos run must never lose an admitted
-           request silently, whatever the baseline says. *)
-        if not (Orianna_fault.Fleet_chaos.conserved trace_reqs r) then begin
-          Format.eprintf
-            "SILENT LOSS: %s: completions + rejections do not partition the trace ids@." key;
-          exit 1
-        end;
-        match Orianna_obs.Json.member key bjson with
-        | None ->
-            Format.eprintf "chaos baseline %s has no entry for %S@." path key;
-            exit 1
-        | Some entry -> (
-            let availability =
-              match r.Serve.chaos with Some c -> c.Serve.availability | None -> 1.0
-            in
-            match
-              ( Orianna_obs.Json.member "availability_floor" entry,
-                Orianna_obs.Json.member "p99_ceiling_ms" entry )
-            with
-            | Some (Orianna_obs.Json.Num floor), Some (Orianna_obs.Json.Num ceiling) ->
-                if availability < floor then begin
-                  Format.eprintf
-                    "AVAILABILITY REGRESSION: %s: %.4f below baseline floor %.4f@." key
-                    availability floor;
-                  exit 1
-                end;
-                if r.Serve.p99_ms > ceiling then begin
-                  Format.eprintf
-                    "P99-UNDER-FAULTS REGRESSION: %s: %.3f ms exceeds ceiling %.3f ms@." key
-                    r.Serve.p99_ms ceiling;
-                  exit 1
-                end;
-                Format.printf
-                  "chaos baseline ok: %s availability %.4f >= %.4f, p99 %.3f <= %.3f ms@." key
-                  availability floor r.Serve.p99_ms ceiling
-            | _ ->
-                Format.eprintf
-                  "chaos baseline %s entry %S lacks availability_floor/p99_ceiling_ms@." path key;
-                exit 1))
-      chaos_baseline
+    let r =
+      serve_and_report ~meta ~json ~trace ~report (fun () -> Serve.run ~config ~trace:trace_reqs ())
+    in
+    (* The silent-loss rule `chaos` and `faults` also apply: under
+       faults, every admitted request must still end in exactly one
+       structured outcome. *)
+    if chaos <> None && not (Orianna_fault.Fleet_chaos.conserved trace_reqs r) then begin
+      Format.eprintf "SILENT LOSS: completions + rejections do not partition the trace ids@.";
+      exit 1
+    end
   in
   let term =
     Term.(const run $ apps_flag $ seed_flag $ jobs_flag $ opt_level_flag $ requests $ rate $ burst
-          $ instances $ policy $ queue
-          $ max_batch $ cache_capacity $ deadline_ms $ mask $ json_flag $ baseline $ chaos_rate
-          $ mttr $ retries $ hedge $ chaos_seed $ chaos_baseline $ trace_flag
+          $ instances $ dispatch_policy_flag Serve.default_config.Serve.policy $ queue
+          $ max_batch $ cache_capacity $ deadline_ms $ mask $ json_flag $ chaos_rate
+          $ mttr $ retries $ hedge $ chaos_seed $ trace_flag
           $ report_flag)
   in
   Cmd.v
@@ -1041,8 +910,6 @@ let serve_cmd =
              cache, bounded admission queue, batching and deadline-aware dispatch over an \
              accelerator fleet.")
     term
-
-(* ---------------- sessions ---------------- *)
 
 let sessions_cmd =
   let module Serve = Orianna_serve.Serve in
@@ -1099,15 +966,8 @@ let sessions_cmd =
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the machine-readable report to stdout.")
   in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Gate the run on a checked-in session baseline: exact tick and completion \
-                   counts plus ceilings on restarts and the median affected fraction, keyed by \
-                   dataset; exits non-zero on regression.")
-  in
   let run dataset seed jobs opt_level steps tenants period_us solves window max_sessions
-      idle_timeout_ms queue json baseline trace report =
+      idle_timeout_ms queue json trace report =
     set_jobs jobs;
     let dname, stream =
       match dataset with
@@ -1121,18 +981,7 @@ let sessions_cmd =
               ~cfg:{ Sphere.default_config with Sphere.rings = 4; poses_per_ring = 12; seed }
               () )
     in
-    let period_s = period_us *. 1e-6 in
-    let missions =
-      List.init (max 1 tenants) (fun mid ->
-          {
-            Session.mid;
-            stream;
-            start_s = float_of_int mid *. period_s /. float_of_int (max 1 tenants);
-            period_s;
-            priority = Request.Normal;
-            deadline_slack_s = 50e-3;
-          })
-    in
+    let missions = Session.staggered_missions ~tenants ~period_s:(period_us *. 1e-6) stream in
     let params =
       {
         Session.default_params with
@@ -1144,11 +993,7 @@ let sessions_cmd =
     let sessions = Session.create ~params ~opt_level ~missions () in
     let solve_trace =
       if solves <= 0 then []
-      else
-        Request.generate ~rng:(Rng.of_int seed)
-          ~shape:(Request.Poisson { rate_hz = 20000.0 })
-          ~apps:(List.map (fun (a : App.t) -> a.App.name) App.all)
-          ~deadline_s:(1e-3, 4e-3) ~n:solves
+      else Request.default_trace ~rng:(Rng.of_int seed) ~apps:App.names ~n:solves
     in
     let config = { Serve.default_config with Serve.queue_capacity = queue; opt_level } in
     let meta =
@@ -1157,106 +1002,20 @@ let sessions_cmd =
           ("command", "sessions");
           ("dataset", dname);
           ("seed", string_of_int seed);
-          ("tenants", string_of_int (max 1 tenants));
+          ("tenants", string_of_int (List.length missions));
           ("ticks", string_of_int (Stream.length stream));
           ("period_us", Printf.sprintf "%g" period_us);
           ("solves", string_of_int (max 0 solves));
         ]
     in
-    if trace <> None || report <> None then Obs.enable ();
-    let r = Serve.run ~config ~sessions ~trace:solve_trace () in
-    Option.iter
-      (fun path ->
-        Chrome_trace.write_file path
-          (Chrome_trace.of_spans (Obs.spans ()) @ Serve.chrome_events r);
-        Format.printf "wrote %s@." path)
-      trace;
-    Option.iter
-      (fun path ->
-        Report.write_file ~meta ~extra:[ ("serve", Serve.report_json r) ] path;
-        Format.printf "wrote %s@." path)
-      report;
-    if json then
-      print_endline
-        (Orianna_obs.Json.to_string
-           (Orianna_obs.Json.Obj
-              [
-                ("meta", Orianna_obs.Json.Obj (List.map (fun (k, v) -> (k, Orianna_obs.Json.Str v)) meta));
-                ("serve", Serve.report_json r);
-              ]))
-    else print_string (Serve.table r);
-    Option.iter
-      (fun path ->
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let bjson = Orianna_obs.Json.parse contents in
-        match Orianna_obs.Json.member dname bjson with
-        | None ->
-            Format.eprintf "session baseline %s has no entry for %S@." path dname;
-            exit 1
-        | Some entry ->
-            let sr =
-              match r.Serve.sessions with
-              | Some sr -> sr
-              | None ->
-                  Format.eprintf "session baseline: the run carried no session report@.";
-                  exit 1
-            in
-            let num k =
-              match Orianna_obs.Json.member k entry with
-              | Some (Orianna_obs.Json.Num v) -> v
-              | _ ->
-                  Format.eprintf "session baseline %s entry %S lacks %s@." path dname k;
-                  exit 1
-            in
-            (* The tick count and completion total are exact: the DES is
-               deterministic, so any drift is a real behaviour change,
-               not noise.  Restarts and the affected fraction get
-               ceilings — the incremental win is the whole point. *)
-            if sr.Session.ticks_total <> int_of_float (num "ticks_total") then begin
-              Format.eprintf "SESSION-TICKS MISMATCH: %s: applied %d, baseline %d@." dname
-                sr.Session.ticks_total
-                (int_of_float (num "ticks_total"));
-              exit 1
-            end;
-            if r.Serve.completed <> int_of_float (num "completed") then begin
-              Format.eprintf "SESSION-COMPLETION MISMATCH: %s: completed %d, baseline %d@." dname
-                r.Serve.completed
-                (int_of_float (num "completed"));
-              exit 1
-            end;
-            if sr.Session.restarts_total > int_of_float (num "restarts_ceiling") then begin
-              Format.eprintf "SESSION-RESTART REGRESSION: %s: %d restarts exceed ceiling %d@."
-                dname sr.Session.restarts_total
-                (int_of_float (num "restarts_ceiling"));
-              exit 1
-            end;
-            let max_fraction =
-              List.fold_left
-                (fun acc (s : Session.session_stats) ->
-                  Float.max acc s.Session.median_affected_fraction)
-                0.0 sr.Session.per_session
-            in
-            let ceiling = num "median_affected_fraction_ceiling" in
-            if max_fraction > ceiling then begin
-              Format.eprintf
-                "AFFECTED-FRACTION REGRESSION: %s: median affected fraction %.4f exceeds \
-                 ceiling %.4f (incremental updates are re-eliminating too much)@."
-                dname max_fraction ceiling;
-              exit 1
-            end;
-            Format.printf
-              "session baseline ok: %s ticks %d completed %d restarts %d <= %d affected %.4f <= %.4f@."
-              dname sr.Session.ticks_total r.Serve.completed sr.Session.restarts_total
-              (int_of_float (num "restarts_ceiling"))
-              max_fraction ceiling)
-      baseline
+    ignore
+      (serve_and_report ~meta ~json ~trace ~report (fun () ->
+           Serve.run ~config ~sessions ~trace:solve_trace ()))
   in
   let term =
     Term.(const run $ dataset $ seed_flag $ jobs_flag $ opt_level_flag $ steps $ tenants
           $ period_us $ solves $ window $ max_sessions $ idle_timeout_ms $ queue $ json_flag
-          $ baseline $ trace_flag $ report_flag)
+          $ trace_flag $ report_flag)
   in
   Cmd.v
     (Cmd.info "sessions"
@@ -1266,16 +1025,8 @@ let sessions_cmd =
              template program.")
     term
 
-(* ---------------- chaos ---------------- *)
-
 let chaos_cmd =
   let module FC = Orianna_fault.Fleet_chaos in
-  let module Dispatch = Orianna_serve.Dispatch in
-  let apps_flag =
-    Arg.(value & opt string "all"
-         & info [ "apps" ] ~docv:"APPS"
-             ~doc:"Comma-separated application names, or \"all\" for every registered app.")
-  in
   let runs =
     Arg.(value & opt int FC.default_config.FC.runs
          & info [ "runs" ] ~docv:"N" ~doc:"Monte-Carlo serving runs (one chaos seed each).")
@@ -1304,34 +1055,15 @@ let chaos_cmd =
     Arg.(value & opt int FC.default_config.FC.instances
          & info [ "instances" ] ~docv:"N" ~doc:"Accelerator fleet size.")
   in
-  let policy =
-    Arg.(value
-         & opt (enum [ ("fifo", Dispatch.Fifo); ("edf", Dispatch.Edf); ("least-loaded", Dispatch.Least_loaded) ])
-             FC.default_config.FC.policy
-         & info [ "policy" ] ~doc:"Dispatch policy: fifo, edf or least-loaded.")
-  in
   let json_flag =
     Arg.(value & flag
          & info [ "json" ]
              ~doc:"Print the campaign summary as JSON. The payload contains no timings, so it \
                    diffs byte-for-byte across job counts.")
   in
-  let run apps_spec seed jobs opt_level runs requests intensity mttr retries hedge instances
+  let run apps seed jobs opt_level runs requests intensity mttr retries hedge instances
       policy json =
     set_jobs jobs;
-    let apps =
-      if String.lowercase_ascii apps_spec = "all" then
-        List.map (fun (a : App.t) -> a.App.name) App.all
-      else
-        String.split_on_char ',' apps_spec
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun s -> (App.find s).App.name)
-    in
-    if apps = [] then begin
-      Format.eprintf "no applications selected@.";
-      exit 2
-    end;
     let config =
       {
         FC.default_config with
@@ -1354,15 +1086,13 @@ let chaos_cmd =
            (Orianna_obs.Json.Obj
               [
                 ( "meta",
-                  Orianna_obs.Json.Obj
-                    (List.map
-                       (fun (k, v) -> (k, Orianna_obs.Json.Str v))
-                       (std_meta
-                          [
-                            ("command", "chaos");
-                            ("apps", String.concat "," apps);
-                            ("seed", string_of_int seed);
-                          ])) );
+                  Report.meta_json
+                    (std_meta
+                       [
+                         ("command", "chaos");
+                         ("apps", String.concat "," apps);
+                         ("seed", string_of_int seed);
+                       ]) );
                 ("chaos", FC.json summary);
               ]))
     else print_string (FC.table summary);
@@ -1374,7 +1104,8 @@ let chaos_cmd =
   in
   let term =
     Term.(const run $ apps_flag $ seed_flag $ jobs_flag $ opt_level_flag $ runs $ requests
-          $ intensity $ mttr $ retries $ hedge $ instances $ policy $ json_flag)
+          $ intensity $ mttr $ retries $ hedge $ instances
+          $ dispatch_policy_flag FC.default_config.FC.policy $ json_flag)
   in
   Cmd.v
     (Cmd.info "chaos"

@@ -58,6 +58,23 @@ let find name =
   | Some a -> a
   | None -> raise Not_found
 
+let names = List.map (fun a -> a.name) all
+let try_names what = Printf.sprintf "%s (try: %s)" what (String.concat ", " names)
+
+let lookup name =
+  match find name with
+  | a -> Ok a
+  | exception Not_found -> Error (try_names (Printf.sprintf "unknown application %S" name))
+
+let select spec =
+  match List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' spec)) with
+  | [] -> Error (try_names "no applications selected")
+  | [ s ] when String.lowercase_ascii s = "all" -> Ok names
+  | picked ->
+      List.fold_right
+        (fun s acc -> Result.bind (lookup s) (fun a -> Result.map (List.cons a.name) acc))
+        picked (Ok [])
+
 let success_rate app ~solver ~missions =
   let ok = ref 0 in
   for seed = 1 to missions do

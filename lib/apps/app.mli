@@ -22,8 +22,21 @@ val quadrotor : t
 
 val all : t list
 
+val names : string list
+(** Registry names of {!all}, in order. *)
+
 val find : string -> t
 (** Case-insensitive lookup; raises [Not_found]. *)
+
+val lookup : string -> (t, string) result
+(** {!find}, with an [Error] that names every registered app. *)
+
+val select : string -> (string list, string) result
+(** An apps selection: ["all"] (any case) for every registered app, or
+    a comma-separated list of names (case-insensitive, blanks around
+    names ignored).  [Ok] carries registry names in the given order;
+    [Error] names the registered apps on an unknown or empty
+    selection. *)
 
 val success_rate : t -> solver:[ `Software | `Compiled ] -> missions:int -> float
 (** Fraction of successful missions over seeds 1..missions (Tbl. 5). *)

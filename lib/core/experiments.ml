@@ -684,11 +684,7 @@ let extension_serve ?(requests = 200) () =
   let rows =
     Pool.parallel_map_list ~chunk:1
       (fun ((app : App.t), policy) ->
-        let trace =
-          Request.generate ~rng:(Rng.of_int 42)
-            ~shape:(Request.Poisson { rate_hz = 20000.0 })
-            ~apps:[ app.App.name ] ~deadline_s:(1e-3, 4e-3) ~n:requests
-        in
+        let trace = Request.default_trace ~rng:(Rng.of_int 42) ~apps:[ app.App.name ] ~n:requests in
         let config = { Serve.default_config with Serve.policy } in
         let r = Serve.run ~config ~trace () in
         [

@@ -24,9 +24,9 @@ let default_config =
   {
     runs = 16;
     requests = 120;
-    rate_hz = 20000.0;
+    rate_hz = Request.default_rate_hz;
     apps = [];
-    deadline_s = (1e-3, 4e-3);
+    deadline_s = Request.default_deadline_s;
     intensity = 0.1;
     mttr_s = 2e-3;
     max_retries = 2;

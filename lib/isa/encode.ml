@@ -145,6 +145,9 @@ let rstring r =
 let rmat r =
   let rows = r16 r in
   let cols = r16 r in
+  (* Bound the allocation by the bytes that remain: a hostile header
+     may claim up to 65535 x 65535 entries (34 GB). *)
+  need r (rows * cols * 8);
   let m = Mat.create rows cols in
   for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do

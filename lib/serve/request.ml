@@ -62,6 +62,13 @@ let generate ~rng ~shape ~apps ~deadline_s:(dl_lo, dl_hi) ~n =
         kind = Solve;
       })
 
+let default_rate_hz = 20000.0
+let default_deadline_s = (1e-3, 4e-3)
+
+let default_trace ~rng ~apps ~n =
+  generate ~rng ~shape:(Poisson { rate_hz = default_rate_hz }) ~apps
+    ~deadline_s:default_deadline_s ~n
+
 let pp ppf r =
   Format.fprintf ppf "req#%d %s seed=%d %s arr=%.6fs dl=%.6fs" r.id r.app r.seed
     (priority_name r.priority) r.arrival_s r.deadline_s

@@ -61,4 +61,16 @@ val generate :
     mix, and its deadline as arrival plus a uniform slack in
     [[lo, hi)]. *)
 
+val default_rate_hz : float
+(** 20 kHz: the arrival rate every seeded campaign uses unless told
+    otherwise ([serve], [sessions --solves], [chaos], the bench and the
+    serving experiment). *)
+
+val default_deadline_s : float * float
+(** 1–4 ms: the default deadline slack range. *)
+
+val default_trace : rng:Orianna_util.Rng.t -> apps:string list -> n:int -> t list
+(** {!generate} with [Poisson { rate_hz = default_rate_hz }] arrivals
+    and [default_deadline_s] slack. *)
+
 val pp : Format.formatter -> t -> unit

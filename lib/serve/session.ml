@@ -34,6 +34,18 @@ type mission = {
   deadline_slack_s : float;
 }
 
+let staggered_missions ~tenants ~period_s stream =
+  let tenants = max 1 tenants in
+  List.init tenants (fun mid ->
+      {
+        mid;
+        stream;
+        start_s = float_of_int mid *. period_s /. float_of_int tenants;
+        period_s;
+        priority = Request.Normal;
+        deadline_slack_s = 50e-3;
+      })
+
 (* Tick request ids live above this base so they can never collide
    with a generated solve trace (ids there are trace positions). *)
 let id_base = 1_000_000

@@ -59,6 +59,12 @@ type mission = {
   deadline_slack_s : float;  (** per-tick deadline beyond arrival *)
 }
 
+val staggered_missions : tenants:int -> period_s:float -> Stream.t -> mission list
+(** [max 1 tenants] missions replaying the same stream at [period_s],
+    ids [0 ..], tick 0 of mission [k] at [k * period_s / tenants] so
+    the tenants interleave evenly; [Normal] priority, 50 ms deadline
+    slack per tick. *)
+
 type t
 
 val create : ?params:params -> opt_level:int -> missions:mission list -> unit -> t

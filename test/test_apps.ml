@@ -137,6 +137,36 @@ let test_app_find () =
        false
      with Not_found -> true)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_app_select () =
+  let ok spec expected =
+    Alcotest.(check (result (list string) string)) spec (Ok expected) (App.select spec)
+  in
+  ok "all" App.names;
+  ok " ALL " App.names;
+  ok "quadrotor, MobileRobot" [ "Quadrotor"; "MobileRobot" ];
+  ok "manipulator,,autovehicle," [ "Manipulator"; "AutoVehicle" ];
+  let error spec =
+    match App.select spec with
+    | Ok apps -> Alcotest.failf "%S selected %s" spec (String.concat "," apps)
+    | Error msg ->
+        (* The message lists every registered app. *)
+        List.iter
+          (fun name ->
+            if not (contains msg name) then
+              Alcotest.failf "%S: error %S does not mention %s" spec msg name)
+          App.names
+  in
+  List.iter error [ "foo"; "mobilerobot,foo,bar"; " , "; "" ];
+  Alcotest.(check bool) "names the first unknown app" true
+    (match App.select "mobilerobot,foo,bar" with
+    | Error msg -> contains msg "\"foo\""
+    | Ok _ -> false)
+
 (* ---------- g2o format ---------- *)
 
 let sample_g2o = String.concat "\n" [
@@ -216,11 +246,6 @@ let test_g2o_rejects_malformed () =
            false
          with G2o.Parse_error _ -> true))
     [ "VERTEX_SE2 0 1.0"; "EDGE_SE2 0 1 1 2"; "VERTEX_SE3:QUAT 0 0 0 0 0 0 0 0 extra" ]
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_g2o_tolerates_foreign_records () =
   let contents =
@@ -407,6 +432,7 @@ let () =
           Alcotest.test_case "solvable" `Quick test_solvable_by_software;
           Alcotest.test_case "solver agreement" `Slow test_mission_solver_agreement;
           Alcotest.test_case "find" `Quick test_app_find;
+          Alcotest.test_case "select" `Quick test_app_select;
         ] );
       ( "g2o",
         [

@@ -143,6 +143,75 @@ let test_hash_roundtrip_stable () =
   let p' = Encode.decode ~resolve (Encode.encode p) in
   Alcotest.(check int32) "kernel program too" (Program.hash p) (Program.hash p')
 
+(* [payload] followed by a valid "CRC0" integrity trailer, so the
+   image passes [verify] whatever the payload claims. *)
+let with_trailer payload =
+  let b = Buffer.create (String.length payload + 8) in
+  Buffer.add_string b payload;
+  Buffer.add_string b "CRC0";
+  Buffer.add_int32_le b (Int32.of_int (Checksum.crc32 payload));
+  Buffer.contents b
+
+let test_decode_hostile_matrix_header () =
+  (* One Load whose matrix header claims 0xFFFF x 0xFFFF doubles
+     (34 GB) with no data behind it: a structured error, not an
+     allocation. *)
+  let b = Buffer.create 32 in
+  let u16 v = Buffer.add_uint16_le b v and u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+  Buffer.add_string b "ORIA";
+  u16 1;
+  u32 1;
+  u32 0;
+  List.iter (Buffer.add_uint8 b) [ 0; 0 ];
+  List.iter u16 [ 0; 1; 1; 0; 0xFFFF; 0xFFFF ];
+  let image = with_trailer (Buffer.contents b) in
+  List.iter
+    (fun (what, decode) ->
+      match decode image with
+      | _ -> Alcotest.failf "%s accepted a 65535 x 65535 matrix with no data" what
+      | exception Encode.Decode_error _ -> ())
+    [
+      ("decode", fun i -> Encode.decode (String.sub i 0 (String.length i - 8)));
+      ("decode_checksummed", fun i -> Encode.decode_checksummed i);
+    ]
+
+(* Seeded corruption of a valid image: overwritten bytes, 0xFFFF
+   fields, truncation and spliced garbage.  Whatever the damage, the
+   decoders either return a program or raise [Decode_error]; the
+   checksummed path gets a recomputed trailer so the damage reaches
+   the decoder. *)
+let mutate rng image =
+  let b = Bytes.of_string image in
+  let n = Bytes.length b in
+  let b =
+    ref
+      (match Rng.int rng 4 with
+      | 0 -> Bytes.sub b 0 (Rng.int rng n)
+      | 1 -> Bytes.cat b (Bytes.init (1 + Rng.int rng 16) (fun _ -> Char.chr (Rng.int rng 256)))
+      | _ -> b)
+  in
+  for _ = 1 to 1 + Rng.int rng 4 do
+    let n = Bytes.length !b in
+    if n >= 2 then begin
+      let i = Rng.int rng (n - 1) in
+      if Rng.int rng 2 = 0 then Bytes.set_uint16_le !b i 0xFFFF
+      else Bytes.set_uint8 !b i (Rng.int rng 256)
+    end
+  done;
+  Bytes.to_string !b
+
+let prop_decode_mutations =
+  let image = Encode.encode (symbolic_program ()) in
+  QCheck.Test.make ~name:"encode: mutated images raise only Decode_error" ~count:3000
+    QCheck.(make ~print:Print.int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let bad = mutate (Rng.of_int seed) image in
+      let survives decode =
+        match decode () with _ -> true | exception Encode.Decode_error _ -> true
+      in
+      survives (fun () -> Encode.decode bad)
+      && survives (fun () -> Encode.decode_checksummed (with_trailer bad)))
+
 let test_hash_deterministic_and_discriminating () =
   let a = symbolic_program () and b = kernel_program () in
   Alcotest.(check int32) "recompile hashes identically" (Program.hash (symbolic_program ()))
@@ -172,6 +241,8 @@ let () =
           Alcotest.test_case "compact" `Quick test_encode_compact;
           Alcotest.test_case "hash roundtrip" `Quick test_hash_roundtrip_stable;
           Alcotest.test_case "hash discriminates" `Quick test_hash_deterministic_and_discriminating;
+          Alcotest.test_case "hostile matrix header" `Quick test_decode_hostile_matrix_header;
+          QCheck_alcotest.to_alcotest prop_decode_mutations;
         ] );
       ( "buffer",
         [

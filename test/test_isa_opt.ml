@@ -294,10 +294,27 @@ let test_o3_monotone_cycles () =
       | _ -> assert false)
     App.all
 
+(* ci/isa_opt_baseline.json's bounds: each app's O0 -> O3 cycle
+   reduction at or above its entry minus the tolerance, and at least
+   [min_apps_at_5pct] apps at a 5% cut. *)
+let isa_opt_violations baseline reductions =
+  let at5 = List.length (List.filter (fun (_, r) -> r >= 0.05) reductions) in
+  let want_at5 = int_of_float (Util_ci.num baseline [ "min_apps_at_5pct" ]) in
+  let tolerance = Util_ci.num baseline [ "tolerance" ] in
+  Util_ci.violations
+    ((at5 < want_at5, Printf.sprintf "%d apps reach a 5%% cycle cut, need %d" at5 want_at5)
+    :: List.map
+         (fun (app, got) ->
+           let want = Util_ci.num baseline [ "apps"; app; "cycle_reduction" ] in
+           ( got < want -. tolerance,
+             Printf.sprintf "%s: cycle reduction %.4f below baseline %.4f - %.2f" app got want
+               tolerance ))
+         reductions)
+
 let test_cycle_reduction_floor () =
-  (* The CI gate's invariant, asserted in-tree as well: the -O 3
-     stream cuts cycles by >= 5% on at least two of the four apps and
-     never schedules any app slower than its O0 stream. *)
+  (* The -O 3 stream never schedules any app slower than its O0 stream,
+     and the cycle cuts hold ci/isa_opt_baseline.json's bounds; a
+     mutated bound must fail. *)
   let accel = Accel.base () in
   let reductions =
     List.map
@@ -310,13 +327,18 @@ let test_cycle_reduction_floor () =
         Alcotest.(check bool)
           (Printf.sprintf "%s: O3 (%d) <= O0 (%d) cycles" a.App.name c3 c0)
           true (c3 <= c0);
-        1.0 -. (float_of_int c3 /. float_of_int c0))
+        (a.App.name, 1.0 -. (float_of_int c3 /. float_of_int c0)))
       App.all
   in
-  let at5 = List.length (List.filter (fun r -> r >= 0.05) reductions) in
-  Alcotest.(check bool)
-    (Printf.sprintf ">= 5%% cycle cut on >= 2 apps (got %d)" at5)
-    true (at5 >= 2)
+  let baseline = Util_ci.load "isa_opt_baseline.json" in
+  (match isa_opt_violations baseline reductions with
+  | [] -> ()
+  | vs -> Alcotest.failf "ci/isa_opt_baseline.json: %s" (String.concat "; " vs));
+  let mutated =
+    Util_ci.mutate [ "apps"; "MobileRobot"; "cycle_reduction" ] (fun v -> v +. 0.05) baseline
+  in
+  Alcotest.(check bool) "cycle_reduction + 0.05 fails" true
+    (isa_opt_violations mutated reductions <> [])
 
 let test_o3_measures_each_stream_once () =
   (* The fixpoint keeps the accepted stream's measurement next to the

@@ -240,79 +240,100 @@ let test_skew_idle_fraction () =
 
 (* ---------- j1-vs-j4 determinism on the production fan-out sites ---------- *)
 
+(* Each site runs on a small input of its own and on the configuration
+   CI smokes through the CLI (seed 42). *)
+
 let test_jdiff_generate () =
-  let report jobs =
-    with_jobs jobs (fun () ->
-        let frame = Pipeline.frame App.mobile_robot ~seed:11 in
-        Dse.result_json (Pipeline.generate frame.Pipeline.program))
-  in
-  Util_jdiff.check_identical ~what:"generate --json" (report 1) (report 4)
+  List.iter
+    (fun ((app : App.t), seed) ->
+      let report jobs =
+        with_jobs jobs (fun () ->
+            let frame = Pipeline.frame app ~seed in
+            Dse.result_json (Pipeline.generate frame.Pipeline.program))
+      in
+      Util_jdiff.check_identical
+        ~what:(Printf.sprintf "generate %s --seed %d --json" app.App.name seed)
+        (report 1) (report 4))
+    [ (App.mobile_robot, 11); (App.quadrotor, 42) ]
 
 let test_jdiff_faults () =
-  let report jobs =
-    with_jobs jobs (fun () ->
-        let graphs = App.mobile_robot.App.graphs (Rng.of_int 7) in
-        let program = Compile.compile_application graphs in
-        let accel = Accel.with_extra (Accel.base ()) Unit_model.Matmul in
-        Campaign.json
-          (Campaign.run
-             ~config:{ Campaign.default_config with Campaign.missions = 24 }
-             ~rng:(Rng.of_int 42) ~graphs ~program ~accel ()))
+  let inputs =
+    [
+      (* The compiled stream on the base accelerator plus a spare
+         matmul unit. *)
+      ( "faults (seed 7 graphs)",
+        fun () ->
+          let graphs = App.mobile_robot.App.graphs (Rng.of_int 7) in
+          let accel = Accel.with_extra (Accel.base ()) Unit_model.Matmul in
+          (graphs, Compile.compile_application graphs, accel) );
+      (* `faults MobileRobot --seed 42 --missions 24`. *)
+      ( "faults MobileRobot --seed 42",
+        fun () ->
+          let frame = Pipeline.frame App.mobile_robot ~seed:42 in
+          let program = frame.Pipeline.program in
+          (frame.Pipeline.graphs, program, (Pipeline.generate program).Dse.best) );
+    ]
   in
-  let j1 = report 1 in
-  Util_jdiff.check_identical ~what:"faults --json" j1 (report 4);
-  (* And under an adversarial schedule: reversed victim order with
-     singleton chunks maximizes cross-lane stealing. *)
-  let forced =
-    with_sched
-      ~order:(fun ~lane:_ ~lanes -> Array.init lanes (fun i -> lanes - 1 - i))
-      ~chunk:1
-      (fun () -> report 4)
-  in
-  Util_jdiff.check_identical ~what:"faults --json (forced steal order)" j1 forced
+  List.iter
+    (fun (what, setup) ->
+      let graphs, program, accel = setup () in
+      let report jobs =
+        with_jobs jobs (fun () ->
+            Campaign.json
+              (Campaign.run
+                 ~config:{ Campaign.default_config with Campaign.missions = 24 }
+                 ~rng:(Rng.of_int 42) ~graphs ~program ~accel ()))
+      in
+      let j1 = report 1 in
+      Util_jdiff.check_identical ~what:(what ^ " --json") j1 (report 4);
+      (* And under an adversarial schedule: reversed victim order with
+         singleton chunks maximizes cross-lane stealing. *)
+      let forced =
+        with_sched
+          ~order:(fun ~lane:_ ~lanes -> Array.init lanes (fun i -> lanes - 1 - i))
+          ~chunk:1
+          (fun () -> report 4)
+      in
+      Util_jdiff.check_identical ~what:(what ^ " --json (forced steal order)") j1 forced)
+    inputs
 
 let test_jdiff_chaos () =
-  let report jobs =
-    with_jobs jobs (fun () ->
-        let config =
-          {
-            Fleet_chaos.default_config with
-            Fleet_chaos.runs = 6;
-            requests = 60;
-            apps = [ App.mobile_robot.App.name ];
-          }
-        in
-        Fleet_chaos.json (Fleet_chaos.run ~config ~rng:(Rng.of_int 5) ()))
-  in
-  Util_jdiff.check_identical ~what:"chaos --json" (report 1) (report 4)
+  List.iter
+    (fun (apps, runs, requests, seed) ->
+      let report jobs =
+        with_jobs jobs (fun () ->
+            let config = { Fleet_chaos.default_config with Fleet_chaos.runs; requests; apps } in
+            Fleet_chaos.json (Fleet_chaos.run ~config ~rng:(Rng.of_int seed) ()))
+      in
+      Util_jdiff.check_identical
+        ~what:
+          (Printf.sprintf "chaos --apps %s --runs %d --requests %d --seed %d --json"
+             (String.concat "," apps) runs requests seed)
+        (report 1) (report 4))
+    [ ([ App.mobile_robot.App.name ], 6, 60, 5); (App.names, 8, 60, 42) ]
 
 let test_jdiff_sessions () =
   let module Serve = Orianna_serve.Serve in
   let module Session = Orianna_serve.Session in
-  let module Request = Orianna_serve.Request in
   let module Stream = Orianna_apps.Stream in
   let module Datasets = Orianna_apps.Datasets in
-  let report jobs =
-    with_jobs jobs (fun () ->
-        let stream =
-          Stream.manhattan ~cfg:{ Datasets.default_config with Datasets.steps = 24; seed = 11 } ()
-        in
-        let period_s = 200e-6 in
-        let missions =
-          List.init 2 (fun mid ->
-              {
-                Session.mid;
-                stream;
-                start_s = float_of_int mid *. period_s /. 2.0;
-                period_s;
-                priority = Request.Normal;
-                deadline_slack_s = 50e-3;
-              })
-        in
-        let sessions = Session.create ~params:Session.default_params ~opt_level:1 ~missions () in
-        Serve.report_json (Serve.run ~config:Serve.default_config ~sessions ~trace:[] ()))
+  let small () =
+    let stream =
+      Stream.manhattan ~cfg:{ Datasets.default_config with Datasets.steps = 24; seed = 11 } ()
+    in
+    let missions = Session.staggered_missions ~tenants:2 ~period_s:200e-6 stream in
+    let sessions = Session.create ~params:Session.default_params ~opt_level:1 ~missions () in
+    Serve.run ~config:Serve.default_config ~sessions ~trace:[] ()
   in
-  Util_jdiff.check_identical ~what:"sessions --json" (report 1) (report 4)
+  List.iter
+    (fun (what, run) ->
+      let report jobs = with_jobs jobs (fun () -> Serve.report_json (run ())) in
+      Util_jdiff.check_identical ~what (report 1) (report 4))
+    [
+      ("sessions (2 tenants, 24 steps) --json", small);
+      ( "sessions --seed 42 --solves 40 --json",
+        fun () -> Util_ci.sessions_run ~solves:40 `Manhattan );
+    ]
 
 let () =
   Alcotest.run "par_sched"

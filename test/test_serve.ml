@@ -1,7 +1,8 @@
 (* The serving runtime: compile-cache keying and eviction, request
    conservation under every dispatch policy (QCheck), bit-for-bit
-   campaign determinism, shed-on-overload, and rerouting around a
-   degraded fleet instance. *)
+   campaign determinism, shed-on-overload, rerouting around a degraded
+   fleet instance, and the fixed-seed serve, chaos and session runs
+   checked against the bound files under ci/. *)
 
 open Orianna_util
 open Orianna_serve
@@ -11,8 +12,9 @@ module Json = Orianna_obs.Json
 
 let apps2 = [ "MobileRobot"; "Manipulator" ]
 
-let trace ?(apps = apps2) ?(shape = Request.Poisson { rate_hz = 20000.0 }) ~seed ~n () =
-  Request.generate ~rng:(Rng.of_int seed) ~shape ~apps ~deadline_s:(1e-3, 4e-3) ~n
+let trace ?(apps = apps2) ?(shape = Request.Poisson { rate_hz = Request.default_rate_hz }) ~seed ~n
+    () =
+  Request.generate ~rng:(Rng.of_int seed) ~shape ~apps ~deadline_s:Request.default_deadline_s ~n
 
 (* A small fleet and cache keep each campaign's compile + DSE work to
    one or two misses, so the QCheck loop stays fast. *)
@@ -221,22 +223,6 @@ let prop_conservation_chaos =
       && List.for_all
            (fun c -> c.Serve.attempts <= max_retries + (if hedge then 1 else 0))
            r.Serve.completions)
-
-let test_chaos_campaign_job_invariance () =
-  (* The Monte-Carlo chaos campaign fans runs over the domain pool; its
-     JSON must be byte-identical at -j 1 and -j 4. *)
-  let module FC = Orianna_fault.Fleet_chaos in
-  let campaign () =
-    let config = { FC.default_config with FC.runs = 4; requests = 30; apps = apps2 } in
-    Json.to_string (FC.json (FC.run ~config ~rng:(Rng.of_int 2024) ()))
-  in
-  let was = Orianna_par.Pool.default_jobs () in
-  Orianna_par.Pool.set_default_jobs 1;
-  let j1 = campaign () in
-  Orianna_par.Pool.set_default_jobs 4;
-  let j4 = campaign () in
-  Orianna_par.Pool.set_default_jobs was;
-  Alcotest.(check string) "bit-for-bit at -j 1 vs -j 4" j1 j4
 
 let test_fleet_dies_mid_run_unservable () =
   (* Instance 0 can never serve MobileRobot (masked back-substitution
@@ -527,6 +513,93 @@ let test_single_app_hit_rate () =
   Alcotest.(check int) "one compile" 1 r.Serve.cache.Cache.misses;
   Alcotest.(check bool) "hit rate >= 0.9" true (Cache.hit_rate r.Serve.cache >= 0.9)
 
+(* ---------- CI baselines ---------- *)
+
+(* The runs CI smokes at the CLI, checked in-process against the bound
+   files under ci/ with the bounds unchanged.  Each check returns its
+   violations, so the last test can feed it mutated bounds. *)
+
+let keys = [ "mobilerobot"; "manipulator"; "autovehicle"; "quadrotor"; "all" ]
+let serve_runs = List.map (fun k -> (k, lazy (Util_ci.serve_run k))) keys
+let chaos_runs = List.map (fun k -> (k, lazy (Util_ci.serve_run ~chaos:true k))) keys
+let session_runs =
+  [ ("manhattan", lazy (Util_ci.sessions_run `Manhattan)); ("loopy", lazy (Util_ci.sessions_run `Loopy)) ]
+
+(* Deadline-miss rate within the file's tolerance of its entry. *)
+let serve_violations baseline key (_, (r : Serve.report)) =
+  let expected = Util_ci.num baseline [ key; "deadline_miss_rate" ] in
+  let tolerance = Util_ci.num baseline [ "tolerance" ] in
+  Util_ci.violations
+    [
+      ( r.Serve.deadline_miss_rate > expected +. tolerance,
+        Printf.sprintf "%s: deadline-miss rate %.4f exceeds baseline %.4f (+%.3f tolerance)" key
+          r.Serve.deadline_miss_rate expected tolerance );
+    ]
+
+(* No silent loss, availability at or above the floor, p99 at or under
+   the ceiling. *)
+let chaos_violations baseline key (trace, (r : Serve.report)) =
+  let floor = Util_ci.num baseline [ key; "availability_floor" ] in
+  let ceiling = Util_ci.num baseline [ key; "p99_ceiling_ms" ] in
+  let availability = match r.Serve.chaos with Some c -> c.Serve.availability | None -> 1.0 in
+  Util_ci.violations
+    [
+      ( not (conserved_chaos trace r),
+        key ^ ": completions + rejections do not partition the trace ids" );
+      ( availability < floor,
+        Printf.sprintf "%s: availability %.4f below floor %.4f" key availability floor );
+      ( r.Serve.p99_ms > ceiling,
+        Printf.sprintf "%s: p99 %.3f ms exceeds ceiling %.3f ms" key r.Serve.p99_ms ceiling );
+    ]
+
+(* Exact tick and completion counts (the DES is deterministic), and
+   ceilings on restarts and on the largest per-session median affected
+   fraction. *)
+let session_violations baseline key (r : Serve.report) =
+  let bound field = Util_ci.num baseline [ key; field ] in
+  let s = Option.get r.Serve.sessions in
+  let fraction =
+    List.fold_left
+      (fun acc (ss : Session.session_stats) -> Float.max acc ss.Session.median_affected_fraction)
+      0.0 s.Session.per_session
+  in
+  Util_ci.violations
+    [
+      ( s.Session.ticks_total <> int_of_float (bound "ticks_total"),
+        Printf.sprintf "%s: %d ticks applied, baseline %g" key s.Session.ticks_total
+          (bound "ticks_total") );
+      ( r.Serve.completed <> int_of_float (bound "completed"),
+        Printf.sprintf "%s: %d completed, baseline %g" key r.Serve.completed (bound "completed") );
+      ( s.Session.restarts_total > int_of_float (bound "restarts_ceiling"),
+        Printf.sprintf "%s: %d restarts exceed ceiling %g" key s.Session.restarts_total
+          (bound "restarts_ceiling") );
+      ( fraction > bound "median_affected_fraction_ceiling",
+        Printf.sprintf "%s: median affected fraction %.4f exceeds ceiling %g" key fraction
+          (bound "median_affected_fraction_ceiling") );
+    ]
+
+let check_gate ~file violations runs key () =
+  match violations (Util_ci.load file) key (Lazy.force (List.assoc key runs)) with
+  | [] -> ()
+  | vs -> Alcotest.failf "ci/%s: %s" file (String.concat "; " vs)
+
+let test_mutated_bounds_fail () =
+  (* One mutated entry per bound: each check must reject it. *)
+  let fails ~file violations runs key path f =
+    let baseline = Util_ci.mutate path f (Util_ci.load file) in
+    if violations baseline key (Lazy.force (List.assoc key runs)) = [] then
+      Alcotest.failf "ci/%s with %s mutated still passes" file (String.concat "." path)
+  in
+  let serve = fails ~file:"serve_baseline.json" serve_violations serve_runs "mobilerobot" in
+  serve [ "mobilerobot"; "deadline_miss_rate" ] (fun v -> v -. 0.01);
+  let chaos = fails ~file:"chaos_baseline.json" chaos_violations chaos_runs "mobilerobot" in
+  chaos [ "mobilerobot"; "availability_floor" ] (fun _ -> 0.99);
+  chaos [ "mobilerobot"; "p99_ceiling_ms" ] (fun _ -> 0.1);
+  let session = fails ~file:"session_baseline.json" session_violations session_runs "manhattan" in
+  session [ "manhattan"; "ticks_total" ] (fun v -> v +. 1.0);
+  session [ "manhattan"; "restarts_ceiling" ] (fun v -> v -. 1.0);
+  session [ "manhattan"; "median_affected_fraction_ceiling" ] (fun _ -> 0.0)
+
 let () =
   Alcotest.run "serve"
     [
@@ -552,7 +625,6 @@ let () =
         ] );
       ( "chaos",
         [
-          Alcotest.test_case "campaign j1 = j4" `Slow test_chaos_campaign_job_invariance;
           Alcotest.test_case "fleet dies mid-run" `Slow test_fleet_dies_mid_run_unservable;
           Alcotest.test_case "retries recover a crash" `Slow test_retries_recover_scripted_crash;
           Alcotest.test_case "breaker state machine" `Quick test_breaker_state_machine;
@@ -574,4 +646,21 @@ let () =
           QCheck_alcotest.to_alcotest prop_conservation;
           QCheck_alcotest.to_alcotest prop_conservation_chaos;
         ] );
+      ( "baselines",
+        List.map
+          (fun k ->
+            Alcotest.test_case ("serve " ^ k) `Quick
+              (check_gate ~file:"serve_baseline.json" serve_violations serve_runs k))
+          keys
+        @ List.map
+            (fun k ->
+              Alcotest.test_case ("chaos " ^ k) `Quick
+                (check_gate ~file:"chaos_baseline.json" chaos_violations chaos_runs k))
+            keys
+        @ List.map
+            (fun (k, _) ->
+              Alcotest.test_case ("sessions " ^ k) `Quick
+                (check_gate ~file:"session_baseline.json" session_violations session_runs k))
+            session_runs
+        @ [ Alcotest.test_case "mutated bounds fail" `Quick test_mutated_bounds_fail ] );
     ]
