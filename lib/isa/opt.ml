@@ -1,5 +1,6 @@
 open Orianna_linalg
 module Obs = Orianna_obs.Obs
+module Heap = Orianna_util.Heap
 
 type report = {
   before : int;
@@ -356,8 +357,11 @@ type probe = Program.t -> int * int array
    for at least one cycle.  So each class splits its ready
    instructions into two heaps.  [avail] holds those with
    [dep_ready <= free.(c)]: all start at [free.(c)], ordered by
-   (priority desc, id).  [waiting] holds the rest: each starts at its
-   own [dep_ready], ordered by (dep_ready, priority desc, id).  An
+   (priority desc, id) — the key is the instruction's [priority_rank].
+   [waiting] holds the rest: each starts at its own [dep_ready],
+   ordered by (dep_ready, priority desc, id) — the key
+   [dep_ready * n + rank].  Both orders are total, so no two entries
+   of a heap share a key.  An
    instruction moves from [waiting] to [avail] once [free.(c)]
    reaches its [dep_ready], and never back.  A class's best candidate
    is the head of [avail] when there is one (it starts strictly before
@@ -365,8 +369,16 @@ type probe = Program.t -> int * int array
    takes the minimum (start, -priority, id) over the class heads,
    the same instruction a scan of the whole ready list would pick.
    Cost O(n (log n + classes + ports) + edges). *)
+(* [rank.(i)] is [i]'s position in the order (priority desc, id):
+   one int key for that total order. *)
+let priority_rank prio =
+  let by_rank = Array.init (Array.length prio) Fun.id in
+  Array.stable_sort (fun a b -> compare (prio.(b) : int) prio.(a)) by_rank;
+  let rank = Array.make (Array.length prio) 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) by_rank;
+  rank
+
 let list_schedule ~(cost_model : cost_model) ?stalls (p : Program.t) =
-  let module Heap = Orianna_util.Heap in
   let cm = cost_model in
   let instrs = p.Program.instrs in
   let n = Array.length instrs in
@@ -407,19 +419,15 @@ let list_schedule ~(cost_model : cost_model) ?stalls (p : Program.t) =
   in
   let free = Array.make cm.classes 0 in
   let dep_ready = Array.make n 0 in
-  let by_prio a b = if prio.(a) <> prio.(b) then compare prio.(b) prio.(a) else compare a b in
-  let avail = Array.init cm.classes (fun _ -> Heap.create ~cmp:by_prio) in
-  let waiting =
-    Array.init cm.classes (fun _ ->
-        Heap.create ~cmp:(fun a b ->
-            if dep_ready.(a) <> dep_ready.(b) then compare dep_ready.(a) dep_ready.(b)
-            else by_prio a b))
-  in
+  let rank = priority_rank prio in
+  let avail = Array.init cm.classes (fun _ -> Heap.create ()) in
+  let waiting = Array.init cm.classes (fun _ -> Heap.create ()) in
   (* [dep_ready.(i)] is final once [i] is ready: all its producers
      have issued. *)
   let make_ready i =
     let c = cls.(i) in
-    Heap.push (if dep_ready.(i) <= free.(c) then avail.(c) else waiting.(c)) i
+    if dep_ready.(i) <= free.(c) then Heap.push avail.(c) ~key:rank.(i) i
+    else Heap.push waiting.(c) ~key:((dep_ready.(i) * n) + rank.(i)) i
   in
   for i = 0 to n - 1 do
     if indeg.(i) = 0 then make_ready i
@@ -439,9 +447,11 @@ let list_schedule ~(cost_model : cost_model) ?stalls (p : Program.t) =
       end
     in
     for c = 0 to cm.classes - 1 do
-      match Heap.peek avail.(c) with
-      | Some i -> consider i free.(c)
-      | None -> ( match Heap.peek waiting.(c) with Some i -> consider i dep_ready.(i) | None -> ())
+      if not (Heap.is_empty avail.(c)) then consider (Heap.min_value avail.(c)) free.(c)
+      else if not (Heap.is_empty waiting.(c)) then begin
+        let i = Heap.min_value waiting.(c) in
+        consider i dep_ready.(i)
+      end
     done;
     let i = !best in
     if i < 0 then failwith "Opt.list_schedule: no ready instruction (cycle?)";
@@ -451,15 +461,12 @@ let list_schedule ~(cost_model : cost_model) ?stalls (p : Program.t) =
     let fin = !best_start + lat.(i) in
     port_free.(c).(k) <- fin;
     free.(c) <- port_free.(c).(earliest_port c);
-    let rec promote () =
-      match Heap.peek waiting.(c) with
-      | Some j when dep_ready.(j) <= free.(c) ->
-          ignore (Heap.pop waiting.(c));
-          Heap.push avail.(c) j;
-          promote ()
-      | Some _ | None -> ()
-    in
-    promote ();
+    while
+      (not (Heap.is_empty waiting.(c))) && dep_ready.(Heap.min_value waiting.(c)) <= free.(c)
+    do
+      let j = Heap.pop waiting.(c) in
+      Heap.push avail.(c) ~key:rank.(j) j
+    done;
     if fin > !makespan then makespan := fin;
     order.(pos) <- i;
     List.iter
@@ -516,7 +523,9 @@ let reorder_static ?stalls (p : Program.t) =
       (fun s -> if prio.(s) < prio.(i) + w s then prio.(s) <- prio.(i) + w s)
       instrs.(i).Instr.srcs
   done;
-  (* Greedy list order within each contiguous algo run.  Runs are not
+  let rank = priority_rank prio in
+  (* Greedy list order within each contiguous algo run, highest
+     priority first, lower id on a tie.  Runs are not
      merged or interleaved: cross-run dependencies always point
      backwards, and the per-algorithm partition order used by
      [Ooo_fine] scheduling is preserved. *)
@@ -542,24 +551,19 @@ let reorder_static ?stalls (p : Program.t) =
           end)
         instrs.(i).Instr.srcs
     done;
-    let heap =
-      Orianna_util.Heap.create ~cmp:(fun (pa, ia) (pb, ib) ->
-          if pa <> pb then compare (pb : int) pa else compare (ia : int) ib)
-    in
+    let heap = Heap.create () in
     for i = lo to hi - 1 do
-      if indeg.(i) = 0 then Orianna_util.Heap.push heap (prio.(i), i)
+      if indeg.(i) = 0 then Heap.push heap ~key:rank.(i) i
     done;
-    while not (Orianna_util.Heap.is_empty heap) do
-      match Orianna_util.Heap.pop heap with
-      | None -> ()
-      | Some (_, i) ->
-          order.(!pos) <- i;
-          incr pos;
-          List.iter
-            (fun c ->
-              indeg.(c) <- indeg.(c) - 1;
-              if indeg.(c) = 0 then Orianna_util.Heap.push heap (prio.(c), c))
-            consumers.(i)
+    while not (Heap.is_empty heap) do
+      let i = Heap.pop heap in
+      order.(!pos) <- i;
+      incr pos;
+      List.iter
+        (fun c ->
+          indeg.(c) <- indeg.(c) - 1;
+          if indeg.(c) = 0 then Heap.push heap ~key:rank.(c) c)
+        consumers.(i)
     done;
     seg := hi
   done;
@@ -609,14 +613,27 @@ let superword_pass ?(min_batch = 3) ?(max_batch = 16) ?(kinds = `Mul) (p : Progr
   let instrs = p.Program.instrs in
   let n = Array.length instrs in
   let src_shape s = (instrs.(s).Instr.rows, instrs.(s).Instr.cols) in
+  (* [bit.(i)] numbers the eligible instructions, -1 for the rest. *)
+  let bit = Array.make n (-1) in
   let candidates = ref 0 in
-  Array.iter (fun (i : Instr.t) -> if eligible_kind kinds i.Instr.op then incr candidates) instrs;
+  Array.iteri
+    (fun i (ins : Instr.t) ->
+      if eligible_kind kinds ins.Instr.op then begin
+        bit.(i) <- !candidates;
+        incr candidates
+      end)
+    instrs;
   if !candidates < min_batch then (p, identity_map n, 0)
   else begin
-    (* Transitive-ancestor bitsets (32 bits per word, flat array). *)
-    let w = (n + 31) / 32 in
+    (* Transitive-ancestor bitsets (32 bits per word, flat array).
+       Only eligible instructions are ever tested as ancestors, so only
+       they get a bit, [bit.(i)]. *)
+    let w = (!candidates + 31) / 32 in
     let anc = Array.make (n * w) 0 in
-    let test_bit i j = anc.((i * w) + (j lsr 5)) land (1 lsl (j land 31)) <> 0 in
+    let test_bit i j =
+      let b = bit.(j) in
+      anc.((i * w) + (b lsr 5)) land (1 lsl (b land 31)) <> 0
+    in
     for i = 0 to n - 1 do
       Array.iter
         (fun s ->
@@ -624,17 +641,21 @@ let superword_pass ?(min_batch = 3) ?(max_batch = 16) ?(kinds = `Mul) (p : Progr
           for k = 0 to w - 1 do
             anc.(bi + k) <- anc.(bi + k) lor anc.(bs + k)
           done;
-          anc.(bi + (s lsr 5)) <- anc.(bi + (s lsr 5)) lor (1 lsl (s land 31)))
+          let b = bit.(s) in
+          if b >= 0 then anc.(bi + (b lsr 5)) <- anc.(bi + (b lsr 5)) lor (1 lsl (b land 31)))
         instrs.(i).Instr.srcs
     done;
     (* Greedy grouping in id order; flush a group on dependence
        conflict or when it reaches [max_batch]. *)
     let key (ins : Instr.t) =
-      Printf.sprintf "%d|%d|%d|%d|%d|%d" (opcode_tag ins.Instr.op) ins.Instr.rows ins.Instr.cols
-        (Array.length ins.Instr.srcs) ins.Instr.algo
-        (match ins.Instr.phase with Instr.Construct -> 0 | Instr.Decompose -> 1 | Instr.Backsub -> 2)
+      ( opcode_tag ins.Instr.op,
+        ins.Instr.rows,
+        ins.Instr.cols,
+        Array.length ins.Instr.srcs,
+        ins.Instr.algo,
+        ins.Instr.phase )
     in
-    let open_groups : (string, int list ref) Hashtbl.t = Hashtbl.create 32 in
+    let open_groups = Hashtbl.create 32 in
     let collected = ref [] in
     let commit members =
       (* members arrive newest-first *)
@@ -660,181 +681,194 @@ let superword_pass ?(min_batch = 3) ?(max_batch = 16) ?(kinds = `Mul) (p : Progr
               end
         end)
       instrs;
+    (* The order batches are collected in is immaterial: the repair
+       and the emission both order batches by their first member. *)
     Hashtbl.iter (fun _ cur -> commit !cur) open_groups;
     (* Pairwise member independence does not rule out a cycle crossing
        TWO batches (A -> B through one pair of members, B -> A through
        an unrelated pair), which would deadlock the contracted
-       topological sort.  Validate the contraction with a counting-only
-       Kahn pass and dissolve the lowest-id batch still blocked until
-       the contracted graph is acyclic; dissolving every batch recovers
-       the original (acyclic) program, so this terminates. *)
-    let batch_list = ref (List.rev !collected) in
-    let acyclic () =
-      let batches = Array.of_list !batch_list in
-      let nbatches = Array.length batches in
-      let batch_of = Array.make n (-1) in
-      Array.iteri (fun bi ms -> List.iter (fun m -> batch_of.(m) <- bi) ms) batches;
-      let super i = if batch_of.(i) >= 0 then n + batch_of.(i) else i in
-      let nsup = n + nbatches in
-      let indeg = Array.make nsup 0 and scons = Array.make nsup [] in
-      for i = 0 to n - 1 do
-        let si = super i in
-        Array.iter
-          (fun s ->
-            let ss = super s in
-            if ss <> si then begin
-              indeg.(si) <- indeg.(si) + 1;
-              scons.(ss) <- si :: scons.(ss)
-            end)
-          instrs.(i).Instr.srcs
-      done;
-      let members = Array.fold_left (fun acc ms -> acc + List.length ms) 0 batches in
-      let queue = Queue.create () in
-      for s = 0 to nsup - 1 do
-        if indeg.(s) = 0 && (if s < n then batch_of.(s) < 0 else true) then Queue.add s queue
-      done;
-      let popped = ref 0 in
-      while not (Queue.is_empty queue) do
-        let s = Queue.pop queue in
-        incr popped;
-        List.iter
-          (fun c ->
-            indeg.(c) <- indeg.(c) - 1;
-            if indeg.(c) = 0 then Queue.add c queue)
-          scons.(s)
-      done;
-      if !popped = nsup - members then true
-      else begin
-        let stuck = ref (-1) and stuck_rep = ref max_int in
-        Array.iteri
-          (fun bi ms ->
-            if indeg.(n + bi) > 0 then begin
-              let r = List.hd ms in
-              if r < !stuck_rep then begin
-                stuck := bi;
-                stuck_rep := r
-              end
-            end)
-          batches;
-        batch_list := List.filteri (fun bi _ -> bi <> !stuck) !batch_list;
-        false
-      end
-    in
-    while not (acyclic ()) do
-      ()
-    done;
-    let batches = Array.of_list !batch_list in
+       topological sort.  Repair: one counting-only Kahn pass over the
+       contracted graph; whenever it stalls, dissolve the lowest-rep
+       batch still blocked into its members and continue from where it
+       stopped.  This dissolves the same batches, in the same order, as
+       re-running Kahn on the rebuilt graph after every dissolve: the
+       set a Kahn pass pops is the set of nodes no cycle reaches,
+       whatever the pop order; dissolving a blocked batch keeps every
+       popped node poppable and every pending edge count (an edge into
+       or out of the batch becomes one into or out of a member); so
+       the continued pass stalls on the same blocked set as a fresh
+       pass on the rebuilt graph.  Dissolving every batch recovers the
+       original (acyclic) program, so this terminates.  Node [s < n] is
+       an unbatched instruction, [n + bi] batch [bi]; edges are stored
+       per instruction and resolved to their current node when
+       released, so dissolving rewires nothing. *)
+    let batches = Array.of_list (List.rev !collected) in
     let nbatches = Array.length batches in
     if nbatches = 0 then (p, identity_map n, 0)
     else begin
       let batch_of = Array.make n (-1) in
-      Array.iteri (fun bi members -> List.iter (fun m -> batch_of.(m) <- bi) members) batches;
-      let super i = if batch_of.(i) >= 0 then n + batch_of.(i) else i in
-      let rep = Array.init (n + nbatches) (fun s -> if s < n then s else List.hd batches.(s - n)) in
-      (* Contracted-graph Kahn, ready nodes popped in old-id order. *)
+      Array.iteri (fun bi ms -> List.iter (fun m -> batch_of.(m) <- bi) ms) batches;
+      let dissolved = Array.make nbatches false in
+      let node i = if batch_of.(i) >= 0 then n + batch_of.(i) else i in
+      let live s = if s < n then batch_of.(s) < 0 else not dissolved.(s - n) in
+      let iter_members f s = if s < n then f s else List.iter f batches.(s - n) in
+      let consumers = Array.make n [] in
+      for j = n - 1 downto 0 do
+        Array.iter (fun s -> consumers.(s) <- j :: consumers.(s)) instrs.(j).Instr.srcs
+      done;
       let nsup = n + nbatches in
-      let indeg = Array.make nsup 0 and sconsumers = Array.make nsup [] in
-      for i = 0 to n - 1 do
-        let si = super i in
-        Array.iter
-          (fun s ->
-            let ss = super s in
-            if ss <> si then begin
-              indeg.(si) <- indeg.(si) + 1;
-              sconsumers.(ss) <- si :: sconsumers.(ss)
-            end)
-          instrs.(i).Instr.srcs
-      done;
-      let heap = Orianna_util.Heap.create ~cmp:(fun a b -> compare (rep.(a) : int) rep.(b)) in
-      (* Batched members keep an indegree of 0 at their own index (their
-         edges live on the batch supernode) — only real supernodes
-         (unbatched instructions and batch ids) enter the ready set. *)
-      for s = 0 to nsup - 1 do
-        if indeg.(s) = 0 && (if s < n then batch_of.(s) < 0 else true) then
-          Orianna_util.Heap.push heap s
-      done;
-      let map = Array.make n (-1) in
-      let b = Program.Builder.create () in
-      let merged = ref 0 in
-      let kcount = ref 0 in
-      let emit_single i =
-        let ins = instrs.(i) in
-        let srcs = Array.map (fun s -> map.(s)) ins.Instr.srcs in
-        map.(i) <-
-          Program.Builder.emit b ~op:ins.Instr.op ~srcs ~rows:ins.Instr.rows ~cols:ins.Instr.cols
-            ~phase:ins.Instr.phase ~algo:ins.Instr.algo ~tag:ins.Instr.tag
+      let indeg = Array.make nsup 0 in
+      let count_in_edges () =
+        Array.fill indeg 0 nsup 0;
+        for j = 0 to n - 1 do
+          let t = node j in
+          Array.iter (fun s -> if node s <> t then indeg.(t) <- indeg.(t) + 1) instrs.(j).Instr.srcs
+        done
       in
-      let emit_batch bi =
-        let members = Array.of_list batches.(bi) in
-        let count = Array.length members in
-        let first = instrs.(members.(0)) in
-        let mrows = first.Instr.rows and mcols = first.Instr.cols in
-        let member_instrs = Array.map (fun m -> instrs.(m)) members in
-        let arity = Array.map (fun (m : Instr.t) -> Array.length m.Instr.srcs) member_instrs in
-        let flops =
-          Array.fold_left (fun acc m -> acc + Instr.flops instrs.(m) ~src_shape) 0 members
-        in
-        let srcs =
-          Array.concat
-            (Array.to_list
-               (Array.map
-                  (fun m -> Array.map (fun s -> map.(s)) instrs.(m).Instr.srcs)
-                  members))
-        in
-        let idx = !kcount in
-        incr kcount;
-        let kname =
-          Printf.sprintf "sw%d.%s.%dx%d.b%d" idx (Instr.opcode_name first.Instr.op) mrows mcols
-            count
-        in
-        let apply mats =
-          let out = Mat.create (count * mrows) mcols in
-          let off = ref 0 in
-          Array.iteri
-            (fun j (m : Instr.t) ->
-              let args = Array.sub mats !off arity.(j) in
-              off := !off + arity.(j);
-              Mat.set_block out (j * mrows) 0 (Program.eval_op m args))
-            member_instrs;
-          out
-        in
-        let kid =
-          Program.Builder.emit b
-            ~op:(Instr.Kernel { Instr.kname; flops; apply })
-            ~srcs ~rows:(count * mrows) ~cols:mcols ~phase:first.Instr.phase ~algo:first.Instr.algo
-            ~tag:"superword"
-        in
-        Array.iteri
-          (fun j m ->
-            let ins = instrs.(m) in
-            map.(m) <-
-              Program.Builder.emit b
-                ~op:(Instr.Extract { row = j * mrows; col = 0; rows = mrows; cols = mcols })
-                ~srcs:[| kid |] ~rows:mrows ~cols:mcols ~phase:ins.Instr.phase ~algo:ins.Instr.algo
-                ~tag:ins.Instr.tag)
-          members;
-        merged := !merged + count
-      in
-      let emitted = ref 0 in
-      let rec drain () =
-        match Orianna_util.Heap.pop heap with
-        | None -> ()
-        | Some s ->
-            incr emitted;
-            if s < n then emit_single s else emit_batch (s - n);
+      (* Retire node [s]'s out-edges, handing each node they free to
+         [ready]. *)
+      let release ready s =
+        iter_members
+          (fun i ->
             List.iter
-              (fun c ->
-                indeg.(c) <- indeg.(c) - 1;
-                if indeg.(c) = 0 then Orianna_util.Heap.push heap c)
-              sconsumers.(s);
-            drain ()
+              (fun j ->
+                let t = node j in
+                if t <> s then begin
+                  indeg.(t) <- indeg.(t) - 1;
+                  if indeg.(t) = 0 then ready t
+                end)
+              consumers.(i))
+          s
       in
-      drain ();
-      let total_members = Array.fold_left (fun acc ms -> acc + List.length ms) 0 batches in
-      if !emitted <> nsup - total_members then
-        failwith "Opt.superword: contracted graph not covered";
-      let outputs = List.map (fun (nm, r) -> (nm, map.(r))) p.Program.outputs in
-      (Program.Builder.finish b ~outputs, map, !merged)
+      (* Hands every live node without pending in-edges to [ready];
+         returns the number of live nodes. *)
+      let ready_roots ready =
+        let nodes = ref 0 in
+        for s = 0 to nsup - 1 do
+          if live s then begin
+            incr nodes;
+            if indeg.(s) = 0 then ready s
+          end
+        done;
+        !nodes
+      in
+      count_in_edges ();
+      let popped = Array.make nsup false in
+      let stack = ref [] in
+      let push s = stack := s :: !stack in
+      let remaining = ref (ready_roots push) in
+      let batch_rep bi = List.hd batches.(bi) in
+      let by_rep = Array.init nbatches Fun.id in
+      Array.sort (fun a b -> compare (batch_rep a : int) (batch_rep b)) by_rep;
+      let cursor = ref 0 in
+      while !remaining > 0 do
+        match !stack with
+        | s :: rest ->
+            stack := rest;
+            popped.(s) <- true;
+            decr remaining;
+            release push s
+        | [] ->
+            (* Stalled: every live node left is blocked, and a cycle
+               among them runs through a batch. *)
+            while popped.(n + by_rep.(!cursor)) || dissolved.(by_rep.(!cursor)) do
+              incr cursor
+            done;
+            let bi = by_rep.(!cursor) in
+            dissolved.(bi) <- true;
+            List.iter (fun m -> batch_of.(m) <- -1) batches.(bi);
+            remaining := !remaining - 1 + List.length batches.(bi);
+            List.iter
+              (fun m ->
+                Array.iter
+                  (fun s -> if not popped.(node s) then indeg.(m) <- indeg.(m) + 1)
+                  instrs.(m).Instr.srcs;
+                if indeg.(m) = 0 then push m)
+              batches.(bi)
+      done;
+      if Array.for_all Fun.id dissolved then (p, identity_map n, 0)
+      else begin
+        (* Contracted-graph Kahn, ready nodes popped in old-id order: a
+           batch by its first member. *)
+        count_in_edges ();
+        let heap = Heap.create () in
+        let ready s = Heap.push heap ~key:(if s < n then s else batch_rep (s - n)) s in
+        let nodes = ready_roots ready in
+        let map = Array.make n (-1) in
+        let b = Program.Builder.create () in
+        let merged = ref 0 in
+        let kcount = ref 0 in
+        let emit_single i =
+          let ins = instrs.(i) in
+          let srcs = Array.map (fun s -> map.(s)) ins.Instr.srcs in
+          map.(i) <-
+            Program.Builder.emit b ~op:ins.Instr.op ~srcs ~rows:ins.Instr.rows ~cols:ins.Instr.cols
+              ~phase:ins.Instr.phase ~algo:ins.Instr.algo ~tag:ins.Instr.tag
+        in
+        let emit_batch bi =
+          let members = Array.of_list batches.(bi) in
+          let count = Array.length members in
+          let first = instrs.(members.(0)) in
+          let mrows = first.Instr.rows and mcols = first.Instr.cols in
+          let member_instrs = Array.map (fun m -> instrs.(m)) members in
+          let arity = Array.map (fun (m : Instr.t) -> Array.length m.Instr.srcs) member_instrs in
+          let flops =
+            Array.fold_left (fun acc m -> acc + Instr.flops instrs.(m) ~src_shape) 0 members
+          in
+          let srcs =
+            Array.concat
+              (Array.to_list
+                 (Array.map
+                    (fun m -> Array.map (fun s -> map.(s)) instrs.(m).Instr.srcs)
+                    members))
+          in
+          let idx = !kcount in
+          incr kcount;
+          let kname =
+            Printf.sprintf "sw%d.%s.%dx%d.b%d" idx (Instr.opcode_name first.Instr.op) mrows mcols
+              count
+          in
+          let apply mats =
+            let out = Mat.create (count * mrows) mcols in
+            let off = ref 0 in
+            Array.iteri
+              (fun j (m : Instr.t) ->
+                let args = Array.sub mats !off arity.(j) in
+                off := !off + arity.(j);
+                Mat.set_block out (j * mrows) 0 (Program.eval_op m args))
+              member_instrs;
+            out
+          in
+          let kid =
+            Program.Builder.emit b
+              ~op:(Instr.Kernel { Instr.kname; flops; apply })
+              ~srcs ~rows:(count * mrows) ~cols:mcols ~phase:first.Instr.phase
+              ~algo:first.Instr.algo
+              ~tag:"superword"
+          in
+          Array.iteri
+            (fun j m ->
+              let ins = instrs.(m) in
+              map.(m) <-
+                Program.Builder.emit b
+                  ~op:(Instr.Extract { row = j * mrows; col = 0; rows = mrows; cols = mcols })
+                  ~srcs:[| kid |] ~rows:mrows ~cols:mcols ~phase:ins.Instr.phase
+                  ~algo:ins.Instr.algo
+                  ~tag:ins.Instr.tag)
+            members;
+          merged := !merged + count
+        in
+        let emitted = ref 0 in
+        while not (Heap.is_empty heap) do
+          let s = Heap.pop heap in
+          incr emitted;
+          if s < n then emit_single s else emit_batch (s - n);
+          release ready s
+        done;
+        if !emitted <> nodes then failwith "Opt.superword: contracted graph not covered";
+        let outputs = List.map (fun (nm, r) -> (nm, map.(r))) p.Program.outputs in
+        (Program.Builder.finish b ~outputs, map, !merged)
+      end
     end
   end
 
@@ -915,6 +949,19 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
       Array.iteri (fun i mi -> if i <> mi then incr reorder_moved) m;
       accept cand mq
     in
+    (* A reorder whose map is the identity emits [!prog] again, so it
+       measures what [!prog] measures. *)
+    let measure_reorder (q, m) =
+      let moved = ref false in
+      Array.iteri (fun i mi -> if i <> mi then moved := true) m;
+      if !moved then measure q else measure_prog ()
+    in
+    (* Fusion, CSE and DCE that changed nothing leave a stream equal to
+       [p]: its first measurement is also [p]'s. *)
+    let cleanup_changed = !fused + !cse_merged + dce_removed > 0 in
+    let measured_input =
+      if measurable && not cleanup_changed then Some (measure_prog ()) else None
+    in
     (* Accept-if-better guard: with a measurement available, keep a
        candidate stream only if it does not cost cycles; without one
        (levels 1-2, no probe: the static O1 pipeline), reorder
@@ -922,8 +969,8 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
     (if not measurable then accept_reorder (reorder !prog) None
      else begin
        let c0, _ = measure_prog () in
-       let ((q, _) as cand) = reorder !prog in
-       let ((c1, _) as mq) = measure q in
+       let cand = reorder !prog in
+       let ((c1, _) as mq) = measure_reorder cand in
        if c1 <= c0 then begin
          accept_reorder cand (Some mq);
          deltas := ("reorder", c0 - c1) :: !deltas
@@ -933,8 +980,8 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
     (* O2: one measured-stall feedback round. *)
     if level >= 2 && measurable && Option.is_some probe then begin
       let c0, stalls = measure_prog () in
-      let ((q, _) as cand) = reorder ~stalls !prog in
-      let ((c1, _) as mq) = measure q in
+      let cand = reorder ~stalls !prog in
+      let ((c1, _) as mq) = measure_reorder cand in
       if c1 < c0 then begin
         accept_reorder cand (Some mq);
         deltas := ("reorder+stalls", c0 - c1) :: !deltas
@@ -952,8 +999,8 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
         improved := false;
         let label name = Printf.sprintf "%s#%d" name !fixrounds in
         (let c0, stalls = measure_prog () in
-         let ((q, _) as cand) = reorder ~stalls ~cost_model:cm !prog in
-         let ((c1, _) as mq) = measure q in
+         let cand = reorder ~stalls ~cost_model:cm !prog in
+         let ((c1, _) as mq) = measure_reorder cand in
          if c1 < c0 then begin
            accept_reorder cand (Some mq);
            deltas := (label "reorder+ports", c0 - c1) :: !deltas;
@@ -982,7 +1029,7 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
        cycles and the whole stream is reverted here.) *)
     if measurable then begin
       let cf, _ = measure_prog () in
-      let corig, _ = measure p in
+      let corig, _ = match measured_input with Some m -> m | None -> measure p in
       if cf > corig then begin
         prog := p;
         map := identity_map before;

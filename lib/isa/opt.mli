@@ -151,7 +151,10 @@ val superword :
     into one wide [Kernel] whose result vertically stacks the member
     results; each member's register becomes an [Extract] of its slice,
     so the traced map proves equivalence member-by-member.  Two ops
-    share a batch only if neither transitively depends on the other.
+    share a batch only if neither transitively depends on the other;
+    batches that would still close a cycle through one another are
+    dissolved, lowest first member first, until the contracted graph
+    is acyclic.
     [`Mul] (default) batches Gemm/Gemv only; [`All] also batches
     elementwise Vadd/Vsub/Scale/Neg through the matmul unit.
     [min_batch] (default 3) and [max_batch] (default 16) bound batch
@@ -171,9 +174,12 @@ val optimize : ?level:int -> ?cost_model:cost_model -> ?probe:probe -> Program.t
     stream is reverted wholesale if it measures slower than the input,
     so optimization can never cost cycles under the measuring
     schedule.  Each stream is measured once: the accepted stream's
-    (cycles, stalls) is kept, so the probe sees the stream after
-    fusion, CSE and DCE, every candidate, and the input, each exactly
-    once.
+    (cycles, stalls) is kept, a reorder candidate that moves nothing
+    takes the current stream's measurement, and when fusion, CSE and
+    DCE change nothing their result's measurement is the input's.  So
+    the probe sees the stream after fusion, CSE and DCE, every
+    candidate that changes the stream, and the input only if the
+    cleanup changed it.
     Default level is [1]. *)
 
 val optimize_traced :

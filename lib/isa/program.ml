@@ -5,27 +5,36 @@ type t = { instrs : Instr.t array; outputs : (string * int) list }
 
 module Builder = struct
   type program = t
-  type b = { mutable rev : Instr.t list; mutable count : int; shapes : (int, int * int) Hashtbl.t }
 
-  let create () = { rev = []; count = 0; shapes = Hashtbl.create 256 }
+  (* [shapes] holds register [i]'s rows at [2i] and cols at [2i + 1]:
+     every optimizer pass rebuilds its stream through [emit], so it
+     stays a flat array rather than a table. *)
+  type b = { mutable rev : Instr.t list; mutable count : int; mutable shapes : int array }
+
+  let create () = { rev = []; count = 0; shapes = Array.make 512 0 }
 
   let emit b ~op ~srcs ~rows ~cols ~phase ~algo ~tag =
-    Array.iter
-      (fun s ->
-        if s < 0 || s >= b.count then
-          failwith (Printf.sprintf "Program.Builder.emit: source i%d out of range" s))
-      srcs;
+    for k = 0 to Array.length srcs - 1 do
+      let s = srcs.(k) in
+      if s < 0 || s >= b.count then
+        failwith (Printf.sprintf "Program.Builder.emit: source i%d out of range" s)
+    done;
     let id = b.count in
+    if (2 * id) + 1 >= Array.length b.shapes then begin
+      let shapes = Array.make (2 * Array.length b.shapes) 0 in
+      Array.blit b.shapes 0 shapes 0 (Array.length b.shapes);
+      b.shapes <- shapes
+    end;
+    b.shapes.(2 * id) <- rows;
+    b.shapes.((2 * id) + 1) <- cols;
     b.count <- id + 1;
-    let i = { Instr.id; op; srcs; rows; cols; phase; algo; tag } in
-    b.rev <- i :: b.rev;
-    Hashtbl.add b.shapes id (rows, cols);
+    b.rev <- { Instr.id; op; srcs; rows; cols; phase; algo; tag } :: b.rev;
     id
 
   let shape b id =
-    match Hashtbl.find_opt b.shapes id with
-    | Some s -> s
-    | None -> failwith (Printf.sprintf "Program.Builder.shape: unknown register i%d" id)
+    if id < 0 || id >= b.count then
+      failwith (Printf.sprintf "Program.Builder.shape: unknown register i%d" id);
+    (b.shapes.(2 * id), b.shapes.((2 * id) + 1))
 
   let finish b ~outputs = { instrs = Array.of_list (List.rev b.rev); outputs }
 end

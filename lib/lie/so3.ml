@@ -45,19 +45,25 @@ let log r =
   if theta < small then
     (* phi ~ vee(R - Rᵀ) / 2 near identity. *)
     Vec.scale 0.5 (vee (Mat.sub r (Mat.transpose r)))
-  else if Float.pi -. theta < 1e-4 then begin
-    (* Near pi the antisymmetric part vanishes; recover the axis from
-       the symmetric part (R + I) / 2 = I + (1 - cos) axis axisᵀ + ... *)
-    let b = Mat.scale 0.5 (Mat.add r (Mat.identity 3)) in
-    (* Pick the column with the largest diagonal entry for stability. *)
+  else if Float.pi -. theta < 1e-3 then begin
+    (* Near pi, R = cos θ·I + sin θ·[a]× + (1 - cos θ)·a aᵀ with sin θ
+       small: the general branch divides a vanishing antisymmetric part
+       by a vanishing sine.  Take the axis from the symmetric part
+       instead, (R + Rᵀ)/2 - cos θ·I = (1 - cos θ)·a aᵀ, whose column
+       with the largest diagonal entry is the best-conditioned multiple
+       of a, and θ from atan2 (acos loses half the digits near pi). *)
+    let anti = vee (Mat.sub r (Mat.transpose r)) in
+    let theta = atan2 (0.5 *. Vec.norm anti) cos_theta in
+    let b =
+      Mat.sub (Mat.scale 0.5 (Mat.add r (Mat.transpose r))) (Mat.scale cos_theta (Mat.identity 3))
+    in
     let k = ref 0 in
     for i = 1 to 2 do
       if Mat.get b i i > Mat.get b !k !k then k := i
     done;
     let axis = Array.init 3 (fun i -> Mat.get b i !k) in
-    let axis = Vec.scale (1.0 /. sqrt (Mat.get b !k !k)) axis in
-    (* Fix the sign using the antisymmetric part when it is nonzero. *)
-    let anti = vee (Mat.sub r (Mat.transpose r)) in
+    let axis = Vec.scale (1.0 /. Vec.norm axis) axis in
+    (* The antisymmetric part, while nonzero, fixes the sign. *)
     let sign = if Vec.dot anti axis < 0.0 then -1.0 else 1.0 in
     Vec.scale (sign *. theta) axis
   end

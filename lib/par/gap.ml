@@ -1,22 +1,24 @@
 (* Scaling-gap decomposition over pool run records.
 
    The same workload is timed once sequentially and once at N lanes.
-   With [t_seq]/[t_par] the wall clocks, [S*] the time outside pool
-   regions, [B*] the summed lane busy time, [O] pool overhead
-   (dispatch latency + caller join wait) and [I] idle lane-time inside
-   parallel regions, the gap to perfect scaling decomposes exactly:
+   With [t_seq]/[t_par] the wall clocks, [R*] the wall time inside
+   pool regions, [S* = t* - R*] the time outside them, [B*] the summed
+   lane busy time, [O] pool overhead (dispatch latency + caller join
+   wait) and [I] idle lane-time inside parallel regions, the gap to
+   perfect scaling decomposes exactly:
 
-     t_par - t_seq/N = (S_par - S_seq/N)        serial sections
-                     + (B_par - B_seq)/N        work inflation
-                     + O/N                      pool overhead
-                     + I/N                      idle (imbalance)
+     t_par - t_seq/N = (S_par - S_seq/N)                serial sections
+                     + (B_par - B_seq)/N                work inflation
+                     + (O - (R_seq - B_seq))/N          pool overhead
+                     + I/N                              idle (imbalance)
 
-   Idle is defined as the remainder of lane-time inside parallel
-   regions ([N * R_par - B_par - O]), so the four components account
-   for the full gap by construction — up to the sequential baseline's
-   own region/busy skew ([accounted - gap = (R_seq - B_seq)/N]), which
-   is clock granularity on a single-lane run.  [test_par_sched]
-   asserts the sum lands within 1% of the measured gap. *)
+   [R_seq - B_seq] is the sequential run's own in-region time that is
+   not work: its dispatch and bookkeeping, and any time its one lane
+   lost to the host (3.8 ms in one loaded test run).  The overhead
+   term counts what the N-lane pool adds on top of it.  Idle is the
+   remainder of lane-time inside parallel regions
+   ([N * R_par - B_par - O]), so the four components sum to the gap
+   exactly, up to the [max 0] clamps on [S*] and [I]. *)
 
 type t = {
   jobs : int;
@@ -59,7 +61,7 @@ let decompose ~jobs ~t_seq ~t_par ~seq ~par =
   let idle = Float.max 0.0 ((n *. r_par) -. b_par -. overhead) in
   let serial_s = s_par -. (s_seq /. n) in
   let inflation_s = (b_par -. b_seq) /. n in
-  let overhead_s = overhead /. n in
+  let overhead_s = (overhead -. (r_seq -. b_seq)) /. n in
   let idle_s = idle /. n in
   let speedup = if t_par > 0.0 then t_seq /. t_par else 0.0 in
   {

@@ -7,18 +7,19 @@
     into serial sections, work inflation, pool overhead and idle time:
 
     {v
-    t_par - t_seq/N = (S_par - S_seq/N)    serial sections
-                    + (B_par - B_seq)/N    work inflation
-                    + O/N                  pool overhead
-                    + I/N                  idle (imbalance)
+    t_par - t_seq/N = (S_par - S_seq/N)              serial sections
+                    + (B_par - B_seq)/N              work inflation
+                    + (O - (R_seq - B_seq))/N        pool overhead
+                    + I/N                            idle (imbalance)
     v}
 
-    with [S*] time outside pool regions, [B*] summed lane busy time,
-    [O] dispatch latency plus caller join wait, and [I] the remaining
-    lane-time inside parallel regions.  Because idle is defined as the
-    remainder, [accounted_s] matches [gap_s] up to the sequential
-    baseline's region/busy clock skew — the accounting property the
-    test suite locks at 1%. *)
+    with [R*] wall time inside pool regions, [S*] time outside them,
+    [B*] summed lane busy time, [O] dispatch latency plus caller join
+    wait, and [I] the remaining lane-time inside parallel regions.
+    The overhead term is net of the sequential run's own in-region
+    time that is not work ([R_seq - B_seq]).  Because idle is defined
+    as the remainder, [accounted_s] equals [gap_s] up to rounding and
+    the [max 0] clamps on [S*] and [I]. *)
 
 type t = {
   jobs : int;
@@ -29,7 +30,7 @@ type t = {
   gap_s : float;  (** [t_par -. t_seq /. jobs] *)
   serial_s : float;
   inflation_s : float;
-  overhead_s : float;
+  overhead_s : float;  (** [(O - (R_seq - B_seq))/N] *)
   idle_s : float;
   accounted_s : float;  (** sum of the four components *)
   region_seq_s : float;  (** wall time inside pool regions, sequential run *)

@@ -44,17 +44,26 @@ let class_index cls =
 let num_classes = List.length Unit_model.all_classes
 let classes_arr = Array.of_list Unit_model.all_classes
 
+(* Declaration order, which is also [compare]'s order. *)
+let phases = [| Instr.Construct; Instr.Decompose; Instr.Backsub |]
+let phase_index = function Instr.Construct -> 0 | Instr.Decompose -> 1 | Instr.Backsub -> 2
+
 (* Dense per-run scratch, sized to the program.  [schedule_ooo] used
    to rebuild hashtables keyed by instruction id on every call; these
    arrays are allocated once per [run] and reused across the
    [Ooo_fine] partitions.  Invariant between calls: [in_subset] is all
    [false] and [children] all [[]] ([indeg]/[ready_dep_time] are
-   (re)initialised per subset id, so they need no clearing). *)
+   (re)initialised per subset id, so they need no clearing).  The
+   ready-queue depth statistics accumulate over every partition of the
+   run. *)
 type scratch = {
   in_subset : bool array;
   indeg : int array;
   children : int list array;
   ready_dep_time : int array;
+  mutable depth_peak : int;
+  mutable depth_sum : int;
+  mutable steps : int;
 }
 
 let make_scratch n =
@@ -63,6 +72,9 @@ let make_scratch n =
     indeg = Array.make n 0;
     children = Array.make n [];
     ready_dep_time = Array.make n 0;
+    depth_peak = 0;
+    depth_sum = 0;
+    steps = 0;
   }
 
 (* Critical-path priority: longest latency-weighted path to a sink. *)
@@ -70,11 +82,50 @@ let priorities (p : Program.t) ~lat =
   let n = Array.length p.Program.instrs in
   let prio = Array.make n 0 in
   for i = n - 1 downto 0 do
-    let ins = p.Program.instrs.(i) in
-    prio.(i) <- max prio.(i) lat.(i);
-    Array.iter (fun s -> prio.(s) <- max prio.(s) (prio.(i) + lat.(s))) ins.Instr.srcs
+    let srcs = p.Program.instrs.(i).Instr.srcs in
+    prio.(i) <- Int.max prio.(i) lat.(i);
+    for k = 0 to Array.length srcs - 1 do
+      let s = srcs.(k) in
+      prio.(s) <- Int.max prio.(s) (prio.(i) + lat.(s))
+    done
   done;
   prio
+
+(* The cycle all of [srcs] have finished by, and no earlier than
+   [base]. *)
+let operands_ready finishes (srcs : int array) base =
+  let ready = ref base in
+  for k = 0 to Array.length srcs - 1 do
+    ready := Int.max !ready finishes.(srcs.(k))
+  done;
+  !ready
+
+(* The unit instance an instruction issues on at cycle [t]: among the
+   instances free by [t], the one free earliest (lowest index on a
+   tie); [-1] when every instance is busy. *)
+let free_instance (free : int array) t =
+  let best = ref (-1) in
+  for k = 0 to Array.length free - 1 do
+    let ft = free.(k) in
+    if ft <= t && (!best < 0 || ft < free.(!best)) then best := k
+  done;
+  !best
+
+(* An instruction finishing at [finish] retires its edges to
+   [children]; a child whose last operand this was arrives at
+   [max finish t0]. *)
+let rec release ~indeg ~ready_dep_time ~arrivals ~arrival_min ~cls_of ~t0 finish = function
+  | [] -> ()
+  | child :: rest ->
+      let d = indeg.(child) - 1 in
+      indeg.(child) <- d;
+      if finish > ready_dep_time.(child) then ready_dep_time.(child) <- finish;
+      if d = 0 then begin
+        let c = cls_of.(child) and key = if finish > t0 then finish else t0 in
+        Heap.push arrivals.(c) ~key child;
+        if key < arrival_min.(c) then arrival_min.(c) <- key
+      end;
+      release ~indeg ~ready_dep_time ~arrivals ~arrival_min ~cls_of ~t0 finish rest
 
 (* Dataflow (OoO) list scheduling of the instruction subset [ids],
    starting no earlier than [t0].  Returns the subset makespan.
@@ -82,106 +133,106 @@ let priorities (p : Program.t) ~lat =
    instruction id to its dense unit-class index (the per-arrival
    [class_index] list scan, hoisted to one pass in [run]); [scratch]
    is the caller's reusable dependency-tracking state.
-   Heap tie-breaking depends on push order, so the traversal orders
-   here (ids order for roots, srcs order for dependency edges,
-   prepend-then-iterate for children) are part of the bit-identical
-   contract with the seed scheduler. *)
+
+   Per class, [arrivals] is keyed by the cycle an instruction's
+   operands are ready and [ready] by its negated priority, so each
+   pops its smallest key first.  Equal keys pop in the order the
+   [Heap] sift rules leave them in, which depends on push order: the
+   traversal orders here (ids order for roots, srcs order for
+   dependency edges, prepend-then-iterate for children) and the heap's
+   sift rules are part of the bit-identical contract with the seed
+   scheduler.  The event loop allocates nothing beyond growing a
+   heap's arrays. *)
 let schedule_ooo (p : Program.t) ~lat ~prio ~cls_of ~scratch ~counts ~starts ~finishes
     ~ids ~t0 =
-  let { in_subset; indeg; children; ready_dep_time } = scratch in
+  let { in_subset; indeg; children; ready_dep_time; _ } = scratch in
   Array.iter (fun id -> in_subset.(id) <- true) ids;
   Array.iter
     (fun id ->
-      let ins = p.Program.instrs.(id) in
+      let srcs = p.Program.instrs.(id).Instr.srcs in
       let deps = ref 0 in
-      Array.iter
-        (fun s ->
-          if in_subset.(s) then begin
-            incr deps;
-            children.(s) <- id :: children.(s)
-          end)
-        ins.Instr.srcs;
+      for k = 0 to Array.length srcs - 1 do
+        let s = srcs.(k) in
+        if in_subset.(s) then begin
+          incr deps;
+          children.(s) <- id :: children.(s)
+        end
+      done;
       indeg.(id) <- !deps;
       ready_dep_time.(id) <- t0)
     ids;
-  (* Per-class: arrivals ordered by ready time, ready ordered by
-     descending priority.  Unit instances as free-time arrays. *)
-  let arrivals =
-    Array.init num_classes (fun _ -> Heap.create ~cmp:(fun (ta, _) (tb, _) -> compare ta tb))
-  in
-  let ready =
-    Array.init num_classes (fun _ -> Heap.create ~cmp:(fun (pa, _) (pb, _) -> compare pb pa))
-  in
+  let arrivals = Array.init num_classes (fun _ -> Heap.create ()) in
+  let ready = Array.init num_classes (fun _ -> Heap.create ()) in
   let free : int array array =
     Array.of_list
       (List.map (fun cls -> Array.make (List.assoc cls counts) t0) Unit_model.all_classes)
   in
-  let arrive id t = Heap.push arrivals.(cls_of.(id)) (max t t0, id) in
   Array.iter
-    (fun id -> if indeg.(id) = 0 then arrive id t0)
+    (fun id -> if indeg.(id) = 0 then Heap.push arrivals.(cls_of.(id)) ~key:t0 id)
     ids;
+  (* Per class, mirrors of [Heap.min_key arrivals.(c)] and of the
+     number of entries in [ready.(c)], so the per-step scans over the
+     classes read an array instead of calling into the heaps. *)
+  let arrival_min = Array.map Heap.min_key arrivals in
+  let ready_len = Array.make num_classes 0 in
   let remaining = ref (Array.length ids) in
   let t = ref t0 in
   let makespan = ref t0 in
-  let telemetry = Obs.enabled () in
+  let depth = ref 0 and depth_peak = ref 0 and depth_sum = ref 0 and steps = ref 0 in
   while !remaining > 0 do
     (* Promote arrivals whose time has come. *)
     for c = 0 to num_classes - 1 do
-      let continue_ = ref true in
-      while !continue_ do
-        match Heap.peek arrivals.(c) with
-        | Some (ta, id) when ta <= !t ->
-            ignore (Heap.pop arrivals.(c));
-            Heap.push ready.(c) (prio.(id), id)
-        | Some _ | None -> continue_ := false
-      done
+      if arrival_min.(c) <= !t then begin
+        let arr = arrivals.(c) in
+        while Heap.min_key arr <= !t do
+          let id = Heap.pop arr in
+          Heap.push ready.(c) ~key:(-prio.(id)) id;
+          ready_len.(c) <- ready_len.(c) + 1;
+          incr depth
+        done;
+        arrival_min.(c) <- Heap.min_key arr
+      end
     done;
-    if telemetry then begin
-      let depth = ref 0 in
-      for c = 0 to num_classes - 1 do
-        depth := !depth + Heap.size ready.(c)
-      done;
-      Obs.observe "sim.ready_queue_depth" (float_of_int !depth)
-    end;
+    incr steps;
+    depth_sum := !depth_sum + !depth;
+    if !depth > !depth_peak then depth_peak := !depth;
     (* Greedily fill free unit instances with the highest-priority
        ready instruction of their class. *)
     let scheduled_any = ref false in
     for c = 0 to num_classes - 1 do
-      let continue_ = ref true in
-      while !continue_ && not (Heap.is_empty ready.(c)) do
-        (* Find a free instance. *)
-        let best = ref (-1) in
-        Array.iteri (fun k ft -> if ft <= !t && (!best < 0 || ft < free.(c).(!best)) then best := k) free.(c);
-        if !best < 0 then continue_ := false
-        else begin
-          match Heap.pop ready.(c) with
-          | None -> continue_ := false
-          | Some (_, id) ->
-              let start = max !t ready_dep_time.(id) in
-              let finish = start + lat.(id) in
-              starts.(id) <- start;
-              finishes.(id) <- finish;
-              free.(c).(!best) <- finish;
-              makespan := max !makespan finish;
-              decr remaining;
-              scheduled_any := true;
-              List.iter
-                (fun child ->
-                  let d = indeg.(child) - 1 in
-                  indeg.(child) <- d;
-                  if finish > ready_dep_time.(child) then ready_dep_time.(child) <- finish;
-                  if d = 0 then arrive child finish)
-                children.(id)
-        end
-      done
+      if ready_len.(c) > 0 then begin
+        let rdy = ready.(c) and fr = free.(c) in
+        let k = ref (free_instance fr !t) in
+        while !k >= 0 do
+          let id = Heap.pop rdy in
+          ready_len.(c) <- ready_len.(c) - 1;
+          decr depth;
+          let dep = ready_dep_time.(id) in
+          let start = if dep > !t then dep else !t in
+          let finish = start + lat.(id) in
+          starts.(id) <- start;
+          finishes.(id) <- finish;
+          fr.(!k) <- finish;
+          if finish > !makespan then makespan := finish;
+          decr remaining;
+          scheduled_any := true;
+          release ~indeg ~ready_dep_time ~arrivals ~arrival_min ~cls_of ~t0 finish
+            children.(id);
+          k := if ready_len.(c) = 0 then -1 else free_instance fr !t
+        done
+      end
     done;
     if !remaining > 0 && not !scheduled_any then begin
       (* Advance time to the next event: an arrival or a unit free. *)
       let next = ref max_int in
       for c = 0 to num_classes - 1 do
-        (match Heap.peek arrivals.(c) with Some (ta, _) when ta > !t -> next := min !next ta | _ -> ());
-        if not (Heap.is_empty ready.(c)) then
-          Array.iter (fun ft -> if ft > !t then next := min !next ft) free.(c)
+        let ta = arrival_min.(c) in
+        if ta > !t && ta < !next then next := ta;
+        if ready_len.(c) > 0 then
+          for k = 0 to Array.length free.(c) - 1 do
+            let ft = free.(c).(k) in
+            if ft > !t && ft < !next then next := ft
+          done
       done;
       if !next = max_int then begin
         (* Everything ready but no instance ever frees — e.g. a class
@@ -190,16 +241,12 @@ let schedule_ooo (p : Program.t) ~lat ~prio ~cls_of ~scratch ~counts ~starts ~fi
            instance is doing so campaign logs stay actionable. *)
         let stuck = ref [] in
         for c = num_classes - 1 downto 0 do
-          let drain h of_entry =
-            let continue_ = ref true in
-            while !continue_ do
-              match Heap.pop h with
-              | Some e -> stuck := of_entry e :: !stuck
-              | None -> continue_ := false
-            done
-          in
-          drain ready.(c) snd;
-          drain arrivals.(c) snd
+          List.iter
+            (fun h ->
+              while not (Heap.is_empty h) do
+                stuck := Heap.pop h :: !stuck
+              done)
+            [ ready.(c); arrivals.(c) ]
         done;
         let occupancy =
           List.mapi (fun c cls -> (cls, Array.to_list free.(c))) Unit_model.all_classes
@@ -209,6 +256,9 @@ let schedule_ooo (p : Program.t) ~lat ~prio ~cls_of ~scratch ~counts ~starts ~fi
       t := !next
     end
   done;
+  scratch.depth_peak <- Int.max scratch.depth_peak !depth_peak;
+  scratch.depth_sum <- scratch.depth_sum + !depth_sum;
+  scratch.steps <- scratch.steps + !steps;
   (* Restore the inter-call scratch invariant for the next partition. *)
   Array.iter
     (fun id ->
@@ -227,7 +277,7 @@ let schedule_in_order (p : Program.t) ~lat ~counts ~starts ~finishes =
   Array.iter
     (fun (ins : Instr.t) ->
       let id = ins.Instr.id in
-      let dep_ready = Array.fold_left (fun acc s -> max acc finishes.(s)) 0 ins.Instr.srcs in
+      let dep_ready = operands_ready finishes ins.Instr.srcs 0 in
       let start = max dep_ready !makespan in
       let finish = start + lat.(id) in
       starts.(id) <- start;
@@ -282,6 +332,7 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
      [Ooo_fine], where each algorithm partition starts after the
      previous one's makespan. Stall accounting is relative to it. *)
   let issue_base = Array.make n 0 in
+  let scratch = make_scratch n in
   let makespan =
     match policy with
     | In_order -> schedule_in_order p ~lat ~counts ~starts ~finishes
@@ -291,8 +342,8 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
           | Critical_path -> priorities p ~lat
           | Fifo -> Array.init n (fun i -> -i)
         in
-        schedule_ooo p ~lat ~prio ~cls_of ~scratch:(make_scratch n) ~counts ~starts
-          ~finishes ~ids:(Array.init n Fun.id) ~t0:0
+        schedule_ooo p ~lat ~prio ~cls_of ~scratch ~counts ~starts ~finishes
+          ~ids:(Array.init n Fun.id) ~t0:0
     | Ooo_fine ->
         let prio =
           match priority with
@@ -311,7 +362,6 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
                 Hashtbl.add buckets i.Instr.algo (ref [ i.Instr.id ]);
                 algo_order := i.Instr.algo :: !algo_order)
           p.Program.instrs;
-        let scratch = make_scratch n in
         List.fold_left
           (fun t0 algo ->
             let ids = Array.of_list (List.rev !(Hashtbl.find buckets algo)) in
@@ -320,9 +370,9 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
               ~t0)
           0 (List.rev !algo_order)
   in
-  (* Accounting. *)
-  let phase_busy = Hashtbl.create 4 in
-  let bump tbl k v = Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  (* Accounting.  Busy cycles per phase, in [phases] order. *)
+  let phase_busy_arr = Array.make (Array.length phases) 0 in
+  let phase_seen = Array.make (Array.length phases) false in
   let unit_busy_arr = Array.make num_classes 0 in
   let unit_seen = Array.make num_classes false in
   let dynamic = ref 0.0 in
@@ -332,24 +382,33 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
      cycles on a structural hazard (operands done, every unit instance
      of its class busy — or, in order, the serial controller). *)
   let stall_operand = ref 0 and stall_structural = ref 0 in
-  Array.iter
-    (fun (ins : Instr.t) ->
-      let id = ins.Instr.id in
-      let c = cls_of.(id) in
-      bump phase_busy ins.Instr.phase lat.(id);
-      unit_busy_arr.(c) <- unit_busy_arr.(c) + lat.(id);
-      unit_seen.(c) <- true;
-      let base = issue_base.(id) in
-      let ready = Array.fold_left (fun acc s -> max acc finishes.(s)) base ins.Instr.srcs in
-      stall_operand := !stall_operand + (ready - base);
-      stall_structural := !stall_structural + (starts.(id) - ready);
-      dynamic := !dynamic +. Unit_model.dynamic_energy_nj classes_arr.(c) ins ~src_shape)
-    p.Program.instrs;
+  for i = 0 to n - 1 do
+    let ins = p.Program.instrs.(i) in
+    let id = ins.Instr.id in
+    let c = cls_of.(id) in
+    let ph = phase_index ins.Instr.phase in
+    phase_busy_arr.(ph) <- phase_busy_arr.(ph) + lat.(id);
+    phase_seen.(ph) <- true;
+    unit_busy_arr.(c) <- unit_busy_arr.(c) + lat.(id);
+    unit_seen.(c) <- true;
+    let base = issue_base.(id) in
+    let ready = operands_ready finishes ins.Instr.srcs base in
+    stall_operand := !stall_operand + (ready - base);
+    stall_structural := !stall_structural + (starts.(id) - ready);
+    dynamic := !dynamic +. Unit_model.dynamic_energy_nj classes_arr.(c) ins ~src_shape
+  done;
   if Obs.enabled () then begin
     Obs.count "sim.instructions" ~n;
     Obs.count "sim.stall.operand_cycles" ~n:!stall_operand;
     Obs.count "sim.stall.structural_cycles" ~n:!stall_structural;
-    Obs.set_gauge "sim.makespan_cycles" (float_of_int makespan)
+    Obs.set_gauge "sim.makespan_cycles" (float_of_int makespan);
+    (* Ready-queue depth (summed over classes, sampled once per event
+       step), recorded once per run. *)
+    if scratch.steps > 0 then begin
+      Obs.observe "sim.ready_queue_depth.peak" (float_of_int scratch.depth_peak);
+      Obs.observe "sim.ready_queue_depth.mean"
+        (float_of_int scratch.depth_sum /. float_of_int scratch.steps)
+    end
   end;
   let seconds = float_of_int makespan /. (accel.Accel.clock_mhz *. 1e6) in
   let dynamic_energy_j = !dynamic *. 1e-9 in
@@ -375,7 +434,12 @@ let run ?(priority = Critical_path) ?jitter ~accel ~policy (p : Program.t) =
     dynamic_energy_j;
     static_energy_j;
     energy_j = dynamic_energy_j +. static_energy_j;
-    phase_busy = Hashtbl.fold (fun k v acc -> (k, v) :: acc) phase_busy [] |> List.sort compare;
+    phase_busy =
+      List.filter_map
+        (fun ph ->
+          let k = phase_index ph in
+          if phase_seen.(k) then Some (ph, phase_busy_arr.(k)) else None)
+        (Array.to_list phases);
     unit_busy;
     utilization;
     instructions = n;
@@ -405,9 +469,7 @@ let check_invariants ~accel (p : Program.t) r =
         let id = ins.Instr.id in
         let lat = latency_of id in
         let base = r.issue_base.(id) in
-        let ready =
-          Array.fold_left (fun acc s -> max acc r.finishes.(s)) base ins.Instr.srcs
-        in
+        let ready = operands_ready r.finishes ins.Instr.srcs base in
         if r.finishes.(id) - r.starts.(id) <> lat then
           flag
             (Printf.sprintf "latency anomaly: #%d ran %d cycles, unit model says %d" id

@@ -342,22 +342,40 @@ let test_cycle_reduction_floor () =
 
 let test_o3_measures_each_stream_once () =
   (* The fixpoint keeps the accepted stream's measurement next to the
-     stream, so the probe never sees the same program object twice. *)
+     stream, so the probe never sees the same program object twice.
+     Nor does it see a stream equal (by content hash) to the one it
+     measured just before — a reorder candidate that moved nothing is
+     the current stream — or the input twice: when fusion, CSE and
+     DCE change nothing, the first measurement is the input's.
+     Checked on each app's O0 stream and on the five O1 streams of a
+     frame, the measured loop's inputs. *)
   let accel = Accel.base () in
   let measure = Opt_loop.probe ~accel () in
   List.iter
     (fun (app : App.t) ->
-      let p0 = Compile.compile_application ~opt_level:0 (app.App.graphs (Rng.of_int bench_seed)) in
-      let seen = ref [] and repeats = ref 0 in
-      let probe q =
-        if List.exists (fun s -> s == q) !seen then incr repeats else seen := q :: !seen;
-        measure q
-      in
-      ignore (Opt.optimize_traced ~level:3 ~cost_model:(Accel.cost_model accel) ~probe p0);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: programs measured twice (of %d measured)" app.App.name
-           (List.length !seen))
-        0 !repeats)
+      let f = Orianna.Pipeline.frame ~opt_level:1 app ~seed:bench_seed in
+      let p0 = Compile.compile_application ~opt_level:0 f.Orianna.Pipeline.graphs in
+      List.iter
+        (fun (name, p) ->
+          let input = Program.hash p in
+          let seen = ref [] and repeats = ref 0 in
+          let last = ref None and back_to_back = ref 0 and inputs = ref 0 in
+          let probe q =
+            if List.exists (fun s -> s == q) !seen then incr repeats else seen := q :: !seen;
+            let h = Program.hash q in
+            if !last = Some h then incr back_to_back;
+            if h = input then incr inputs;
+            last := Some h;
+            measure q
+          in
+          ignore (Opt.optimize_traced ~level:3 ~cost_model:(Accel.cost_model accel) ~probe p);
+          let what = Printf.sprintf "%s %s (%d measured)" app.App.name name (List.length !seen) in
+          Alcotest.(check int) (what ^ ": programs measured twice") 0 !repeats;
+          Alcotest.(check int) (what ^ ": equal streams measured back to back") 0 !back_to_back;
+          Alcotest.(check int) (what ^ ": measurements of the input") 1 !inputs)
+        ((("O0 application", p0) :: ("O1 application", f.Orianna.Pipeline.program)
+         :: List.map (fun (name, p) -> ("O1 algo:" ^ name, p)) f.Orianna.Pipeline.algo_programs)
+        @ [ ("O1 dense", f.Orianna.Pipeline.dense_program) ]))
     App.all
 
 let test_counters_mirror_report () =
@@ -485,6 +503,324 @@ let prop_o3_fixpoint =
       let p', map, _ = Opt.optimize_traced ~level:3 p in
       Program.validate p';
       equivalent p (p', map))
+
+(* ------------------------------------------------------------------ *)
+(* Superword repair: incremental vs rebuild-per-dissolve               *)
+
+(* Verbatim copy of [Opt.superword_pass] as it was when its acyclic
+   repair rebuilt the contracted graph after every dissolved batch,
+   kept as the reference the incremental repair must match exactly:
+   same stream (by content hash) and same register map.  Two edits:
+   it also returns [dissolved], the number of batches the repair broke
+   up, so the comparison can show it exercised the repair; and the emission's heap is the int-keyed
+   [Heap] keyed by [rep] (every key in it is distinct, so any
+   min-heap pops the same order). *)
+module Ref_superword = struct
+    let identity_map n = Array.init n (fun i -> i)
+
+  let opcode_tag : Instr.opcode -> int = function
+    | Instr.Load _ -> 0
+    | Instr.Vadd -> 1
+    | Instr.Vsub -> 2
+    | Instr.Scale _ -> 3
+    | Instr.Neg -> 4
+    | Instr.Transpose -> 5
+    | Instr.Gemm -> 6
+    | Instr.Gemv -> 7
+    | Instr.Logm -> 8
+    | Instr.Expm -> 9
+    | Instr.Skew -> 10
+    | Instr.Jr -> 11
+    | Instr.Jrinv -> 12
+    | Instr.Assemble _ -> 13
+    | Instr.Extract _ -> 14
+    | Instr.Qr -> 15
+    | Instr.Backsolve -> 16
+    | Instr.Kernel _ -> 17
+
+
+  let eligible_kind kinds (op : Instr.opcode) =
+    match op with
+    | Instr.Gemm | Instr.Gemv -> true
+    | Instr.Vadd | Instr.Vsub | Instr.Scale _ | Instr.Neg -> kinds = `All
+    | _ -> false
+
+  let superword_pass ?(min_batch = 3) ?(max_batch = 16) ?(kinds = `Mul) (p : Program.t) =
+    let instrs = p.Program.instrs in
+    let n = Array.length instrs in
+    let src_shape s = (instrs.(s).Instr.rows, instrs.(s).Instr.cols) in
+    let candidates = ref 0 in
+    Array.iter (fun (i : Instr.t) -> if eligible_kind kinds i.Instr.op then incr candidates) instrs;
+    if !candidates < min_batch then (p, identity_map n, 0, 0)
+    else begin
+      (* Transitive-ancestor bitsets (32 bits per word, flat array). *)
+      let w = (n + 31) / 32 in
+      let anc = Array.make (n * w) 0 in
+      let test_bit i j = anc.((i * w) + (j lsr 5)) land (1 lsl (j land 31)) <> 0 in
+      for i = 0 to n - 1 do
+        Array.iter
+          (fun s ->
+            let bi = i * w and bs = s * w in
+            for k = 0 to w - 1 do
+              anc.(bi + k) <- anc.(bi + k) lor anc.(bs + k)
+            done;
+            anc.(bi + (s lsr 5)) <- anc.(bi + (s lsr 5)) lor (1 lsl (s land 31)))
+          instrs.(i).Instr.srcs
+      done;
+      (* Greedy grouping in id order; flush a group on dependence
+         conflict or when it reaches [max_batch]. *)
+      let key (ins : Instr.t) =
+        Printf.sprintf "%d|%d|%d|%d|%d|%d" (opcode_tag ins.Instr.op) ins.Instr.rows ins.Instr.cols
+          (Array.length ins.Instr.srcs) ins.Instr.algo
+          (match ins.Instr.phase with Instr.Construct -> 0 | Instr.Decompose -> 1 | Instr.Backsub -> 2)
+      in
+      let open_groups : (string, int list ref) Hashtbl.t = Hashtbl.create 32 in
+      let collected = ref [] in
+      let commit members =
+        (* members arrive newest-first *)
+        if List.length members >= min_batch then collected := List.rev members :: !collected
+      in
+      Array.iteri
+        (fun i (ins : Instr.t) ->
+          if eligible_kind kinds ins.Instr.op then begin
+            let k = key ins in
+            match Hashtbl.find_opt open_groups k with
+            | None -> Hashtbl.add open_groups k (ref [ i ])
+            | Some cur ->
+                if List.exists (fun m -> test_bit i m) !cur then begin
+                  commit !cur;
+                  cur := [ i ]
+                end
+                else begin
+                  cur := i :: !cur;
+                  if List.length !cur >= max_batch then begin
+                    commit !cur;
+                    cur := []
+                  end
+                end
+          end)
+        instrs;
+      Hashtbl.iter (fun _ cur -> commit !cur) open_groups;
+      (* Pairwise member independence does not rule out a cycle crossing
+         TWO batches (A -> B through one pair of members, B -> A through
+         an unrelated pair), which would deadlock the contracted
+         topological sort.  Validate the contraction with a counting-only
+         Kahn pass and dissolve the lowest-id batch still blocked until
+         the contracted graph is acyclic; dissolving every batch recovers
+         the original (acyclic) program, so this terminates. *)
+      let batch_list = ref (List.rev !collected) in
+      let dissolved = ref 0 in
+      let acyclic () =
+        let batches = Array.of_list !batch_list in
+        let nbatches = Array.length batches in
+        let batch_of = Array.make n (-1) in
+        Array.iteri (fun bi ms -> List.iter (fun m -> batch_of.(m) <- bi) ms) batches;
+        let super i = if batch_of.(i) >= 0 then n + batch_of.(i) else i in
+        let nsup = n + nbatches in
+        let indeg = Array.make nsup 0 and scons = Array.make nsup [] in
+        for i = 0 to n - 1 do
+          let si = super i in
+          Array.iter
+            (fun s ->
+              let ss = super s in
+              if ss <> si then begin
+                indeg.(si) <- indeg.(si) + 1;
+                scons.(ss) <- si :: scons.(ss)
+              end)
+            instrs.(i).Instr.srcs
+        done;
+        let members = Array.fold_left (fun acc ms -> acc + List.length ms) 0 batches in
+        let queue = Queue.create () in
+        for s = 0 to nsup - 1 do
+          if indeg.(s) = 0 && (if s < n then batch_of.(s) < 0 else true) then Queue.add s queue
+        done;
+        let popped = ref 0 in
+        while not (Queue.is_empty queue) do
+          let s = Queue.pop queue in
+          incr popped;
+          List.iter
+            (fun c ->
+              indeg.(c) <- indeg.(c) - 1;
+              if indeg.(c) = 0 then Queue.add c queue)
+            scons.(s)
+        done;
+        if !popped = nsup - members then true
+        else begin
+          let stuck = ref (-1) and stuck_rep = ref max_int in
+          Array.iteri
+            (fun bi ms ->
+              if indeg.(n + bi) > 0 then begin
+                let r = List.hd ms in
+                if r < !stuck_rep then begin
+                  stuck := bi;
+                  stuck_rep := r
+                end
+              end)
+            batches;
+          batch_list := List.filteri (fun bi _ -> bi <> !stuck) !batch_list;
+          incr dissolved;
+          false
+        end
+      in
+      while not (acyclic ()) do
+        ()
+      done;
+      let batches = Array.of_list !batch_list in
+      let nbatches = Array.length batches in
+      if nbatches = 0 then (p, identity_map n, 0, !dissolved)
+      else begin
+        let batch_of = Array.make n (-1) in
+        Array.iteri (fun bi members -> List.iter (fun m -> batch_of.(m) <- bi) members) batches;
+        let super i = if batch_of.(i) >= 0 then n + batch_of.(i) else i in
+        let rep = Array.init (n + nbatches) (fun s -> if s < n then s else List.hd batches.(s - n)) in
+        (* Contracted-graph Kahn, ready nodes popped in old-id order. *)
+        let nsup = n + nbatches in
+        let indeg = Array.make nsup 0 and sconsumers = Array.make nsup [] in
+        for i = 0 to n - 1 do
+          let si = super i in
+          Array.iter
+            (fun s ->
+              let ss = super s in
+              if ss <> si then begin
+                indeg.(si) <- indeg.(si) + 1;
+                sconsumers.(ss) <- si :: sconsumers.(ss)
+              end)
+            instrs.(i).Instr.srcs
+        done;
+        let heap = Heap.create () in
+        (* Batched members keep an indegree of 0 at their own index (their
+           edges live on the batch supernode) — only real supernodes
+           (unbatched instructions and batch ids) enter the ready set. *)
+        for s = 0 to nsup - 1 do
+          if indeg.(s) = 0 && (if s < n then batch_of.(s) < 0 else true) then
+            Heap.push heap ~key:rep.(s) s
+        done;
+        let map = Array.make n (-1) in
+        let b = Program.Builder.create () in
+        let merged = ref 0 in
+        let kcount = ref 0 in
+        let emit_single i =
+          let ins = instrs.(i) in
+          let srcs = Array.map (fun s -> map.(s)) ins.Instr.srcs in
+          map.(i) <-
+            Program.Builder.emit b ~op:ins.Instr.op ~srcs ~rows:ins.Instr.rows ~cols:ins.Instr.cols
+              ~phase:ins.Instr.phase ~algo:ins.Instr.algo ~tag:ins.Instr.tag
+        in
+        let emit_batch bi =
+          let members = Array.of_list batches.(bi) in
+          let count = Array.length members in
+          let first = instrs.(members.(0)) in
+          let mrows = first.Instr.rows and mcols = first.Instr.cols in
+          let member_instrs = Array.map (fun m -> instrs.(m)) members in
+          let arity = Array.map (fun (m : Instr.t) -> Array.length m.Instr.srcs) member_instrs in
+          let flops =
+            Array.fold_left (fun acc m -> acc + Instr.flops instrs.(m) ~src_shape) 0 members
+          in
+          let srcs =
+            Array.concat
+              (Array.to_list
+                 (Array.map
+                    (fun m -> Array.map (fun s -> map.(s)) instrs.(m).Instr.srcs)
+                    members))
+          in
+          let idx = !kcount in
+          incr kcount;
+          let kname =
+            Printf.sprintf "sw%d.%s.%dx%d.b%d" idx (Instr.opcode_name first.Instr.op) mrows mcols
+              count
+          in
+          let apply mats =
+            let out = Mat.create (count * mrows) mcols in
+            let off = ref 0 in
+            Array.iteri
+              (fun j (m : Instr.t) ->
+                let args = Array.sub mats !off arity.(j) in
+                off := !off + arity.(j);
+                Mat.set_block out (j * mrows) 0 (Program.eval_op m args))
+              member_instrs;
+            out
+          in
+          let kid =
+            Program.Builder.emit b
+              ~op:(Instr.Kernel { Instr.kname; flops; apply })
+              ~srcs ~rows:(count * mrows) ~cols:mcols ~phase:first.Instr.phase ~algo:first.Instr.algo
+              ~tag:"superword"
+          in
+          Array.iteri
+            (fun j m ->
+              let ins = instrs.(m) in
+              map.(m) <-
+                Program.Builder.emit b
+                  ~op:(Instr.Extract { row = j * mrows; col = 0; rows = mrows; cols = mcols })
+                  ~srcs:[| kid |] ~rows:mrows ~cols:mcols ~phase:ins.Instr.phase ~algo:ins.Instr.algo
+                  ~tag:ins.Instr.tag)
+            members;
+          merged := !merged + count
+        in
+        let emitted = ref 0 in
+        let rec drain () =
+          match if Heap.is_empty heap then None else Some (Heap.pop heap) with
+          | None -> ()
+          | Some s ->
+              incr emitted;
+              if s < n then emit_single s else emit_batch (s - n);
+              List.iter
+                (fun c ->
+                  indeg.(c) <- indeg.(c) - 1;
+                  if indeg.(c) = 0 then Heap.push heap ~key:rep.(c) c)
+                sconsumers.(s);
+              drain ()
+        in
+        drain ();
+        let total_members = Array.fold_left (fun acc ms -> acc + List.length ms) 0 batches in
+        if !emitted <> nsup - total_members then
+          failwith "Opt.superword: contracted graph not covered";
+        let outputs = List.map (fun (nm, r) -> (nm, map.(r))) p.Program.outputs in
+        (Program.Builder.finish b ~outputs, map, !merged, !dissolved)
+      end
+    end
+
+end
+
+let same_superword ?min_batch ~kinds p =
+  let q, map = Opt.superword ?min_batch ~kinds p in
+  let q', map', _, dissolved = Ref_superword.superword_pass ?min_batch ~kinds p in
+  (Program.hash q = Program.hash q' && map = map', dissolved)
+
+let test_superword_matches_reference () =
+  (* All four apps' five frame streams at O0 and O1, both kinds.  Some
+     of them must need the repair, or the comparison proves nothing
+     about it. *)
+  let dissolved = ref 0 in
+  List.iter
+    (fun (app : App.t) ->
+      List.iter
+        (fun opt_level ->
+          let f = Orianna.Pipeline.frame ~opt_level app ~seed:bench_seed in
+          List.iter
+            (fun (name, p) ->
+              List.iter
+                (fun (kinds, label) ->
+                  let same, d = same_superword ~kinds p in
+                  dissolved := !dissolved + d;
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s O%d %s superword %s = reference" app.App.name opt_level
+                       name label)
+                    true same)
+                [ (`Mul, "mul"); (`All, "all") ])
+            ((("application", f.Orianna.Pipeline.program) :: f.Orianna.Pipeline.algo_programs)
+            @ [ ("dense", f.Orianna.Pipeline.dense_program) ]))
+        [ 0; 1 ])
+    App.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "the repair dissolved batches (%d)" !dissolved)
+    true (!dissolved > 0)
+
+let prop_superword_matches_reference =
+  QCheck.Test.make ~name:"opt: superword repair = rebuild-per-dissolve reference" ~count:40
+    pair_seed (fun (seed, nvars) ->
+      let p = Compile.compile ~opt_level:0 (random_linear_graph seed nvars) in
+      List.for_all (fun kinds -> fst (same_superword ~min_batch:2 ~kinds p)) [ `Mul; `All ])
 
 (* ------------------------------------------------------------------ *)
 (* List scheduler: per-class heaps vs the ready-list scan               *)
@@ -807,6 +1143,8 @@ let () =
       ( "o3",
         [
           Alcotest.test_case "superword equivalence" `Quick test_superword_app_equivalent;
+          Alcotest.test_case "superword repair = reference" `Quick
+            test_superword_matches_reference;
           Alcotest.test_case "cycle monotonicity O0..O3" `Quick test_o3_monotone_cycles;
           Alcotest.test_case "cycle reduction floor" `Quick test_cycle_reduction_floor;
           Alcotest.test_case "each stream measured once" `Quick
@@ -820,7 +1158,8 @@ let () =
       ( "properties",
         qcheck
           (List.map (fun (name, pass) -> prop_pass name pass) passes
-          @ [ prop_pipeline; prop_superword; prop_o3_fixpoint ]) );
+          @ [ prop_pipeline; prop_superword; prop_superword_matches_reference; prop_o3_fixpoint ])
+      );
       ( "list-sched",
         Alcotest.test_case "apps O0/O1/O3" `Quick test_list_schedule_apps
         :: qcheck [ prop_list_schedule_matches_scan ] );

@@ -82,6 +82,31 @@ let test_so3_log_near_pi () =
       check_mat "rotation preserved" ~eps:1e-5 (So3.exp phi) (So3.exp back))
     [ [| 1.0; 0.0; 0.0 |]; [| 0.0; 1.0; 0.0 |]; [| 1.0; 1.0; 1.0 |]; [| -0.3; 0.4; 0.86 |] ]
 
+(* Exp(Log R) = R as pi - theta shrinks to 0, on random axes.  The
+   near-pi branch (pi - theta < 1e-3) must hold 1e-12 in Frobenius
+   norm; the general branch's error grows towards its edge (2.9e-9 at
+   1e-3), so the two outer points get 1e-8. *)
+let test_so3_log_near_pi_sweep () =
+  let r = rng () in
+  List.iter
+    (fun gap ->
+      for _ = 1 to 50 do
+        let axis = [| Rng.gaussian r; Rng.gaussian r; Rng.gaussian r |] in
+        let a = Vec.scale (1.0 /. Vec.norm axis) axis in
+        let rot = So3.exp (Vec.scale (Float.pi -. gap) a) in
+        let d = Mat.sub (So3.exp (So3.log rot)) rot in
+        let err = ref 0.0 in
+        for i = 0 to 2 do
+          for j = 0 to 2 do
+            err := !err +. (Mat.get d i j *. Mat.get d i j)
+          done
+        done;
+        let bound = if gap < 1e-3 then 1e-12 else 1e-8 in
+        if sqrt !err > bound then
+          Alcotest.failf "pi - theta = %g: |Exp(Log R) - R|_F = %g > %g" gap (sqrt !err) bound
+      done)
+    [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-7; 1e-8; 0.0 ]
+
 let test_so3_jr_numeric () =
   (* Exp(phi + d) ~ Exp(phi) Exp(Jr(phi) d). *)
   let r = rng () in
@@ -152,6 +177,15 @@ let test_pose3_retract_local () =
     Alcotest.(check bool) "retract(local)" true
       (Pose3.equal ~eps:1e-8 b (Pose3.retract a (Pose3.local a b)))
   done
+
+(* The case QCheck drew as seed 808501 for the property
+   "pose3: retract(a, local(a,b)) = b": a relative rotation 7.6e-5
+   short of pi. *)
+let test_pose3_retract_local_seed_808501 () =
+  let r = Rng.of_int 808501 in
+  let a = Pose3.random r ~scale:3.0 and b = Pose3.random r ~scale:3.0 in
+  Alcotest.(check bool) "retract(local)" true
+    (Pose3.equal ~eps:1e-7 b (Pose3.retract a (Pose3.local a b)))
 
 let test_pose3_act_matches_se3 () =
   let r = rng () in
@@ -336,6 +370,7 @@ let () =
           Alcotest.test_case "log-exp roundtrip" `Quick test_so3_log_exp_roundtrip;
           Alcotest.test_case "log small angle" `Quick test_so3_log_small_angle;
           Alcotest.test_case "log near pi" `Quick test_so3_log_near_pi;
+          Alcotest.test_case "log near pi sweep" `Quick test_so3_log_near_pi_sweep;
           Alcotest.test_case "jr numeric" `Quick test_so3_jr_numeric;
           Alcotest.test_case "jr_inv" `Quick test_so3_jr_inv;
           Alcotest.test_case "jl identities" `Quick test_so3_jl_identities;
@@ -346,6 +381,8 @@ let () =
           Alcotest.test_case "group laws" `Quick test_pose3_group_laws;
           Alcotest.test_case "associativity" `Quick test_pose3_associativity;
           Alcotest.test_case "retract/local" `Quick test_pose3_retract_local;
+          Alcotest.test_case "retract/local seed 808501" `Quick
+            test_pose3_retract_local_seed_808501;
           Alcotest.test_case "act matches se3" `Quick test_pose3_act_matches_se3;
           Alcotest.test_case "compose matches se3" `Quick test_pose3_compose_matches_se3;
         ] );

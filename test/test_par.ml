@@ -130,9 +130,69 @@ let test_split_n_matches_split_loop () =
 
 (* Verbatim copy of the seed's hashtable-based scheduler (telemetry
    stripped), kept as the reference the rewritten array-based hot path
-   is differenced against. *)
+   is differenced against — with a copy of the seed's polymorphic
+   binary heap (the functions the scheduler calls), so the reference
+   shares no code with the int-keyed heap it checks. *)
 module Ref_sched = struct
-  module Heap = Orianna_util.Heap
+  module Heap = struct
+    type 'a t = { cmp : 'a -> 'a -> int; mutable data : 'a array; mutable len : int }
+
+    let create ~cmp = { cmp; data = [||]; len = 0 }
+
+    let is_empty h = h.len = 0
+
+    let grow h x =
+      if h.len = Array.length h.data then begin
+        let cap = max 8 (2 * Array.length h.data) in
+        let data = Array.make cap x in
+        Array.blit h.data 0 data 0 h.len;
+        h.data <- data
+      end
+
+    let swap h i j =
+      let tmp = h.data.(i) in
+      h.data.(i) <- h.data.(j);
+      h.data.(j) <- tmp
+
+    let rec sift_up h i =
+      if i > 0 then begin
+        let parent = (i - 1) / 2 in
+        if h.cmp h.data.(i) h.data.(parent) < 0 then begin
+          swap h i parent;
+          sift_up h parent
+        end
+      end
+
+    let rec sift_down h i =
+      let l = (2 * i) + 1 and r = (2 * i) + 2 in
+      let smallest = ref i in
+      if l < h.len && h.cmp h.data.(l) h.data.(!smallest) < 0 then smallest := l;
+      if r < h.len && h.cmp h.data.(r) h.data.(!smallest) < 0 then smallest := r;
+      if !smallest <> i then begin
+        swap h i !smallest;
+        sift_down h !smallest
+      end
+
+    let push h x =
+      grow h x;
+      h.data.(h.len) <- x;
+      h.len <- h.len + 1;
+      sift_up h (h.len - 1)
+
+    let pop h =
+      if h.len = 0 then None
+      else begin
+        let top = h.data.(0) in
+        h.len <- h.len - 1;
+        if h.len > 0 then begin
+          h.data.(0) <- h.data.(h.len);
+          sift_down h 0
+        end;
+        Some top
+      end
+
+    let peek h = if h.len = 0 then None else Some h.data.(0)
+  end
 
   let class_index cls =
     let rec find i = function
@@ -246,7 +306,27 @@ module Ref_sched = struct
           if not (Heap.is_empty ready.(c)) then
             Array.iter (fun ft -> if ft > !t then next := min !next ft) free.(c)
         done;
-        if !next = max_int then failwith "reference scheduler deadlocked";
+        if !next = max_int then begin
+          (* The payload [Schedule.Deadlock] documents: every
+             instruction still queued, and every instance's busy-until
+             cycle. *)
+          let stuck = ref [] in
+          Array.iter
+            (fun h ->
+              let rec drain () =
+                match Heap.pop h with
+                | Some (_, id) ->
+                    stuck := id :: !stuck;
+                    drain ()
+                | None -> ()
+              in
+              drain ())
+            (Array.append ready arrivals);
+          let occupancy =
+            List.mapi (fun c cls -> (cls, Array.to_list free.(c))) Unit_model.all_classes
+          in
+          raise (Schedule.Deadlock { cycle = !t; stuck = List.sort compare !stuck; occupancy })
+        end;
         t := !next
       end
     done;
@@ -266,9 +346,12 @@ module Ref_sched = struct
       p.Program.instrs;
     !makespan
 
-  (* Starts, finishes and makespan under the seed's dispatch logic
-     (nominal latencies, critical-path priority). *)
-  let run ~accel ~policy (p : Program.t) =
+  (* Starts, finishes and makespan under the seed's dispatch logic:
+     nominal latencies plus [jitter] (clamped at 0), priority
+     critical-path or [Fifo] (program order), as [Schedule.run]
+     documents them. *)
+  let run ?(priority = Schedule.Critical_path) ?(jitter = fun _ -> 0) ~accel ~policy
+      (p : Program.t) =
     let n = Array.length p.Program.instrs in
     let src_shape id = (p.Program.instrs.(id).Instr.rows, p.Program.instrs.(id).Instr.cols) in
     let latency_of id =
@@ -276,6 +359,12 @@ module Ref_sched = struct
       Unit_model.latency
         (Unit_model.class_of_op ins.Instr.op)
         ~qr_rotators:accel.Accel.qr_rotators ins ~src_shape
+      + max 0 (jitter id)
+    in
+    let priorities p latency_of =
+      match priority with
+      | Schedule.Critical_path -> priorities p latency_of
+      | Schedule.Fifo -> Array.init n (fun i -> -i)
     in
     let counts = accel.Accel.counts in
     let starts = Array.make n 0 and finishes = Array.make n 0 in
@@ -311,36 +400,79 @@ end
 
 let apps = Array.of_list App.all
 
-let accel_variant i =
-  let base = Accel.base () in
-  match i mod 4 with
-  | 0 -> base
-  | 1 -> Accel.with_extra base Unit_model.Matmul
-  | 2 -> Accel.with_extra (Accel.with_extra base Unit_model.Matmul) Unit_model.Qr_unit
-  | _ ->
-      List.fold_left Accel.with_extra base
-        [ Unit_model.Matmul; Unit_model.Matmul; Unit_model.Vector_alu; Unit_model.Dma ]
+(* Every accelerator the DSE scores while generating hardware for each
+   app's seed-42 application stream: several instances per class and
+   QR widths 8 to 32, as generation visits them. *)
+let dse_trace_accels =
+  lazy
+    (Pool.set_default_jobs 1;
+     Array.of_list
+       (List.concat_map
+          (fun (app : App.t) ->
+            let p = Compile.compile_application (app.App.graphs (Rng.of_int 42)) in
+            let trace = ref [] in
+            ignore
+              (Dse.optimize ~budget:Resource.zc706
+                 ~evaluate:(fun accel ->
+                   trace := accel :: !trace;
+                   (Schedule.run ~accel ~policy:Schedule.Ooo_full p).Schedule.seconds)
+                 ());
+            List.rev !trace)
+          App.all))
 
+(* (seed, app, accelerator, variant): the variant's bits pick the O3
+   stream (superword kernels included) over the compiled O1 one,
+   latency jitter, the [Fifo] priority, and which class to leave with
+   zero instances in the deadlock check. *)
 let sched_arb =
   QCheck.(
     make
-      Gen.(triple (int_range 0 1_000_000) (int_range 0 3) (int_range 0 3))
-      ~print:Print.(triple int int int))
+      Gen.(quad (int_range 0 1_000_000) (int_range 0 3) (int_range 0 10_000) (int_range 0 63))
+      ~print:Print.(quad int int int int))
 
 let prop_schedule_matches_seed_reference =
-  QCheck.Test.make ~name:"schedule: array hot path = seed hashtable reference (all policies)"
-    ~count:12 sched_arb (fun (seed, app_i, accel_i) ->
+  QCheck.Test.make
+    ~name:
+      "schedule: array hot path = seed hashtable reference (all policies, O3 streams, DSE \
+       accelerators, jitter, Fifo, deadlock)"
+    ~count:12 sched_arb (fun (seed, app_i, accel_i, variant) ->
       let app = apps.(app_i mod Array.length apps) in
       let p = Compile.compile_application (app.App.graphs (Rng.of_int seed)) in
-      let accel = accel_variant accel_i in
+      let accels = Lazy.force dse_trace_accels in
+      let accel = accels.(accel_i mod Array.length accels) in
+      let p = if variant land 1 = 0 then p else Opt_loop.optimize ~accel ~level:3 p in
+      let jitter = if variant land 2 = 0 then None else Some (fun id -> ((id * 7919) mod 5) - 1) in
+      let priority = if variant land 4 = 0 then Schedule.Critical_path else Schedule.Fifo in
+      let outcome run =
+        try Ok (run ()) with Schedule.Deadlock d -> Error (d.cycle, d.stuck, d.occupancy)
+      in
+      let same ~accel ~policy =
+        let r = outcome (fun () -> Schedule.run ~priority ?jitter ~accel ~policy p) in
+        let r' = outcome (fun () -> Ref_sched.run ~priority ?jitter ~accel ~policy p) in
+        match (r, r') with
+        | Ok r, Ok (starts, finishes, makespan) ->
+            r.Schedule.cycles = makespan
+            && r.Schedule.starts = starts
+            && r.Schedule.finishes = finishes
+            && (jitter <> None || Schedule.check_invariants ~accel p r = Ok ())
+        | Error d, Error d' -> d = d'
+        | _ -> false
+      in
+      (* A class the stream uses, left with no instance: both
+         schedulers must stop with the same [Deadlock]. *)
+      let dead =
+        Unit_model.class_of_op p.Program.instrs.((variant lsr 3) mod Program.length p).Instr.op
+      in
+      let broken =
+        {
+          accel with
+          Accel.counts = List.map (fun (c, k) -> (c, if c = dead then 0 else k)) accel.Accel.counts;
+        }
+      in
       List.for_all
         (fun policy ->
-          let r = Schedule.run ~accel ~policy p in
-          let starts, finishes, makespan = Ref_sched.run ~accel ~policy p in
-          r.Schedule.cycles = makespan
-          && r.Schedule.starts = starts
-          && r.Schedule.finishes = finishes
-          && Schedule.check_invariants ~accel p r = Ok ())
+          same ~accel ~policy
+          && (policy = Schedule.In_order || same ~accel:broken ~policy))
         [ Schedule.In_order; Schedule.Ooo_fine; Schedule.Ooo_full ])
 
 (* ---------- campaign / DSE job-count invariance ---------- *)

@@ -155,9 +155,10 @@ let prop_guided_partition =
 (* ---------- gap-decomposition accounting ---------- *)
 
 (* The four components of [Gap.decompose] account for the measured gap
-   by construction; the residual is the sequential baseline's
-   region-vs-busy clock skew.  Locking this at 1% of the workload's
-   wall time guards the accounting against scheduler changes. *)
+   by construction, up to the [max 0] clamps on the time outside pool
+   regions and on idle.  Locking this at 1% of the workload's wall
+   time on a real run guards the accounting against scheduler
+   changes. *)
 let test_gap_accounting () =
   Obs.set_clock (fun () -> Unix.gettimeofday ());
   Obs.enable ();
@@ -191,6 +192,54 @@ let test_gap_accounting () =
   List.iter
     (fun k -> Alcotest.(check bool) (k ^ " present") true (List.mem k keys))
     [ "jobs"; "t_seq_s"; "t_par_s"; "speedup"; "gap_s"; "accounted_s"; "gap_breakdown_s" ]
+
+(* The same accounting on synthetic run records, free of timing noise:
+   a sequential run whose region holds 3.8 ms that is not lane work
+   (the skew of one loaded test run) and a 4-lane run with dispatch,
+   join wait and idle lanes.  The components must sum to the gap to
+   rounding. *)
+let test_gap_accounting_synthetic () =
+  let record ~jobs ~submit ~done_ ~join_wait lanes =
+    {
+      Pool.run_id = 0;
+      rjobs = jobs;
+      items = 48;
+      submit_s = submit;
+      done_s = done_;
+      join_wait_s = join_wait;
+      lanes =
+        Array.mapi
+          (fun lane (busy, dispatch) ->
+            {
+              Pool.lane;
+              slots = 12;
+              chunks = 1;
+              steals = 0;
+              busy_s = busy;
+              dispatch_s = dispatch;
+              minor_words = 0.0;
+              promoted_words = 0.0;
+              minor_collections = 0;
+              major_collections = 0;
+              slot_spans = [];
+            })
+          lanes;
+    }
+  in
+  let seq = [ record ~jobs:1 ~submit:0.002 ~done_:0.0418 ~join_wait:0.0 [| (0.036, 0.0) |] ] in
+  let par =
+    [
+      record ~jobs:4 ~submit:0.001 ~done_:0.0185 ~join_wait:0.004
+        [| (0.0105, 0.0002); (0.0098, 0.0011); (0.0121, 0.0007); (0.0093, 0.0015) |];
+    ]
+  in
+  let g = Gap.decompose ~jobs:4 ~t_seq:0.0431 ~t_par:0.0202 ~seq ~par in
+  Alcotest.(check (float 1e-12)) "sequential in-region skew" 0.0038
+    (g.Gap.region_seq_s -. g.Gap.busy_seq_s);
+  Alcotest.(check (float 1e-12)) "components sum to the gap" g.Gap.gap_s g.Gap.accounted_s;
+  Alcotest.(check (float 1e-12)) "overhead net of the sequential skew"
+    ((0.0035 +. 0.004 -. 0.0038) /. 4.0)
+    g.Gap.overhead_s
 
 (* ---------- pathological skew ---------- *)
 
@@ -350,6 +399,8 @@ let () =
         [
           Alcotest.test_case "gap decomposition sums to the measured gap" `Quick
             test_gap_accounting;
+          Alcotest.test_case "gap decomposition exact on synthetic records" `Quick
+            test_gap_accounting_synthetic;
           Alcotest.test_case "100x skew: idle fraction bounded by stealing" `Quick
             test_skew_idle_fraction;
         ] );
