@@ -49,7 +49,12 @@ type frame = {
 val frame : ?opt_level:int -> App.t -> seed:int -> frame
 (** Build and compile one frame of an application at [opt_level]
     (default 1), each of its five streams by the one recipe of the
-    level contract in {!Orianna_isa.Opt}. *)
+    level contract in {!Orianna_isa.Opt}.  The streams are independent,
+    so they fan out over the domain pool ({!Orianna_par.Pool}), one
+    slot each; called from inside another pool task (for example
+    {!Experiments}' per-app evaluations) or at one job, they run
+    sequentially on the calling domain.  The result is identical at
+    any job count. *)
 
 type evaluation = {
   eframe : frame;

@@ -994,32 +994,48 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
     if level >= 3 then begin
       let improved = ref true in
       let fixrounds = ref 0 in
+      (* Each proposer is a pure function of the accepted stream and its
+         cached measurement, so one that failed on this very stream (a
+         rejected candidate, or a superword pass that merged nothing)
+         fails there again: remember, per proposer, the stream it last
+         failed on, and skip it while that stream is still [!prog]. *)
+      let failed_on = Array.make 3 None in
+      let propose k f =
+        match failed_on.(k) with
+        | Some q when q == !prog -> ()
+        | _ -> if f () then improved := true else failed_on.(k) <- Some !prog
+      in
       while !improved && !fixrounds < 6 do
         incr fixrounds;
         improved := false;
         let label name = Printf.sprintf "%s#%d" name !fixrounds in
-        (let c0, stalls = measure_prog () in
-         let cand = reorder ~stalls ~cost_model:cm !prog in
-         let ((c1, _) as mq) = measure_reorder cand in
-         if c1 < c0 then begin
-           accept_reorder cand (Some mq);
-           deltas := (label "reorder+ports", c0 - c1) :: !deltas;
-           improved := true
-         end);
-        List.iter
-          (fun (kinds, name) ->
-            let q, m, merged = superword_pass ~kinds !prog in
-            if merged > 0 then begin
-              let c0, _ = measure_prog () in
-              let q, m2, _ = dce_pass q in
-              let ((c1, _) as mq) = measure q in
-              if c1 < c0 then begin
-                accept (q, compose m m2) (Some mq);
-                superword_merged := !superword_merged + merged;
-                deltas := (label name, c0 - c1) :: !deltas;
-                improved := true
-              end
-            end)
+        propose 0 (fun () ->
+            let c0, stalls = measure_prog () in
+            let cand = reorder ~stalls ~cost_model:cm !prog in
+            let ((c1, _) as mq) = measure_reorder cand in
+            if c1 < c0 then begin
+              accept_reorder cand (Some mq);
+              deltas := (label "reorder+ports", c0 - c1) :: !deltas;
+              true
+            end
+            else false);
+        List.iteri
+          (fun k (kinds, name) ->
+            propose (k + 1) (fun () ->
+                let q, m, merged = superword_pass ~kinds !prog in
+                if merged = 0 then false
+                else begin
+                  let c0, _ = measure_prog () in
+                  let q, m2, _ = dce_pass q in
+                  let ((c1, _) as mq) = measure q in
+                  if c1 < c0 then begin
+                    accept (q, compose m m2) (Some mq);
+                    superword_merged := !superword_merged + merged;
+                    deltas := (label name, c0 - c1) :: !deltas;
+                    true
+                  end
+                  else false
+                end))
           [ (`Mul, "superword"); (`All, "superword+vec") ]
       done
     end;

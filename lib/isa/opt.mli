@@ -179,7 +179,10 @@ val optimize : ?level:int -> ?cost_model:cost_model -> ?probe:probe -> Program.t
     DCE change nothing their result's measurement is the input's.  So
     the probe sees the stream after fusion, CSE and DCE, every
     candidate that changes the stream, and the input only if the
-    cleanup changed it.
+    cleanup changed it.  The fixpoint's three proposers (reorder under
+    [cost_model], superword [`Mul], superword [`All]) are pure
+    functions of the accepted stream, so one that failed on a stream
+    (rejected, or nothing merged) is not run on that stream again.
     Default level is [1]. *)
 
 val optimize_traced :

@@ -171,8 +171,9 @@ let quantile h p =
    notice their cached shard is stale on the next write and register a
    fresh one, so no lock is ever required on a pure metric write apart
    from the shard's own.  The open-span stack stays per-domain (DLS);
-   [on] is read unguarded — a torn read merely drops or admits a
-   sample at the enable/disable boundary. *)
+   a pool slot swaps in its own stack (see [in_slot]), so spans follow
+   the work across domains.  [on] is read unguarded — a torn read
+   merely drops or admits a sample at the enable/disable boundary. *)
 
 type shard = {
   slock : Mutex.t;
@@ -364,6 +365,30 @@ let with_span ?(attrs = []) ?(gc = false) name f =
         finish_frame frame)
       f
   end
+
+(* ---------------- pool slots ---------------- *)
+
+(* A slot runs with a fresh frame as its only open span, on whichever
+   domain claims it, so the spans it closes at its top level collect
+   there instead of becoming roots of that domain; the caller moves
+   them under its own innermost open span after the join. *)
+type slot = frame
+
+let slot () = { fname = ""; fattrs = []; fstart = 0.0; fgc = None; fchildren = [] }
+
+let in_slot slot f =
+  let stack = stack () in
+  let saved = !stack in
+  stack := [ slot ];
+  Fun.protect ~finally:(fun () -> stack := saved) f
+
+let attach_slots slots =
+  (* Children are kept newest first: prepending each slot's (reversed)
+     spans in slot order leaves them in slot order. *)
+  let spans = Array.fold_left (fun acc s -> s.fchildren @ acc) [] slots in
+  match !(stack ()) with
+  | parent :: _ -> parent.fchildren <- spans @ parent.fchildren
+  | [] -> locked (fun () -> reg.roots <- spans @ reg.roots)
 
 (* ---------------- snapshots ---------------- *)
 

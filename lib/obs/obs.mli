@@ -35,7 +35,9 @@ type span = {
   attrs : attr list;
   start_s : float;  (** seconds since the registry epoch ({!enable}/{!reset}) *)
   dur_s : float;
-  children : span list;  (** in start order *)
+  children : span list;
+      (** in start order; the spans of a parallel map's slots follow
+          in slot order and may overlap (see {!attach_slots}) *)
 }
 
 (** Standalone log-bucketed histogram accumulator — the same structure
@@ -116,6 +118,35 @@ val with_span : ?attrs:attr list -> ?gc:bool -> string -> (unit -> 'a) -> 'a
     figures are per-domain in OCaml 5, so they attribute allocation to
     the domain running the span. *)
 
+(** {2 Spans across pool lanes}
+
+    The open-span stack is per domain, but a span opened inside a
+    parallel map's slot belongs under the span that was open where the
+    map was called, whichever domain ran the slot.  The domain pool
+    gives each slot a {!slot}, runs the slot's work {!in_slot}, and
+    after the join moves every slot's spans under the caller's
+    innermost open span with {!attach_slots}, in slot order — so the
+    span tree is the same at any job count, once durations, start
+    times and [gc.*] attributes are set aside.  Slot children can
+    overlap in time, so their durations may add up to more than their
+    parent's, and {!span_self_s} then clamps at 0.  The pool does none
+    of this while the registry is disabled. *)
+
+type slot
+
+val slot : unit -> slot
+(** An empty collector for one slot's top-level spans. *)
+
+val in_slot : slot -> (unit -> 'a) -> 'a
+(** [in_slot s f] runs [f] with [s] as the only open span of the
+    current domain, then restores the domain's stack (also when [f]
+    raises): spans [f] closes at its top level collect in [s]. *)
+
+val attach_slots : slot array -> unit
+(** Make every span collected in the slots a child of the innermost
+    open span of the calling domain — a root if none is open — in
+    array order, each slot's spans in the order they closed. *)
+
 val count : ?n:int -> string -> unit
 (** Add [n] (default 1) to a named counter. *)
 
@@ -141,7 +172,8 @@ val spans : unit -> span list
     not included. *)
 
 val span_self_s : span -> float
-(** Duration not covered by child spans. *)
+(** Duration not covered by child spans, clamped at 0: children that
+    ran in parallel pool slots can add up to more than their parent. *)
 
 val fold_spans : ('a -> span -> 'a) -> 'a -> span list -> 'a
 (** Pre-order fold over a span forest. *)

@@ -407,18 +407,19 @@ let chunk_ranges ~chunks ~n =
     ranges
   end
 
-(* Run the slots [start, n) across the pool plus the calling lane,
+(* Run the slots [0, n) across the pool plus the calling lane,
    returning once every slot has completed (not merely been claimed).
-   The caller works like any other lane, then parks on the job's
-   condition variable for the stragglers — no spinning. *)
-let run_job ~jobs ~start ~n ~chunk ~probe ~run =
+   The job is published before the caller claims anything, so workers
+   start on their ranges at once; the caller then works like any other
+   lane (slot 0 is simply the front of its range) and parks on the
+   job's condition variable for the stragglers — no spinning. *)
+let run_job ~jobs ~n ~chunk ~probe ~run =
   let p = get_pool ~size:(jobs - 1) in
-  let total = n - start in
-  let init = chunk_ranges ~chunks:jobs ~n:total in
+  let init = chunk_ranges ~chunks:jobs ~n in
   let ranges =
     Array.init jobs (fun l ->
         let lo, hi = if l < Array.length init then init.(l) else (0, 0) in
-        let r = Atomic.make (pack (start + lo) (start + hi)) in
+        let r = Atomic.make (pack lo hi) in
         (* Space the atomics a cache line apart: claims and steals CAS
            them from different domains, and adjacently allocated boxes
            would false-share. *)
@@ -428,10 +429,10 @@ let run_job ~jobs ~start ~n ~chunk ~probe ~run =
   let job =
     {
       jlanes = jobs;
-      total;
+      total = n;
       run;
       ranges;
-      remaining = Atomic.make total;
+      remaining = Atomic.make n;
       min_chunk = Atomic.make (match chunk with Some c -> max 1 c | None -> 1);
       done_mutex = Mutex.create ();
       done_cond = Condition.create ();
@@ -561,49 +562,28 @@ let parallel_map ?jobs ?chunk f xs =
       end
       else None
     in
-    (* Slot 0 runs on the caller before the fan-out: its result seeds
-       the result array directly (float results stay unboxed; no
-       ['b option] cells, no rebuild pass).  If it raises, that is by
-       definition the first failure in input order, re-raised exactly
-       as the sequential map would.  The caller is marked in-task for
-       the duration so a nested map inside slot 0 falls back
-       sequentially just like in every other slot. *)
-    let run0 () =
-      Domain.DLS.set in_task true;
-      Fun.protect ~finally:(fun () -> Domain.DLS.set in_task false) (fun () -> f xs.(0))
-    in
-    let y0 =
-      match probe with
-      | None -> run0 ()
-      | Some rec_ ->
-          let ls = rec_.lanes.(0) in
-          let g0 = Gc.quick_stat () in
-          let t0 = Obs.now_s () in
-          let y = run0 () in
-          let t1 = Obs.now_s () in
-          let g1 = Gc.quick_stat () in
-          ls.slots <- 1;
-          ls.chunks <- 1;
-          ls.busy_s <- t1 -. t0;
-          ls.slot_spans <- [ (0, t0, t1 -. t0) ];
-          ls.minor_words <- g1.Gc.minor_words -. g0.Gc.minor_words;
-          ls.promoted_words <- g1.Gc.promoted_words -. g0.Gc.promoted_words;
-          ls.minor_collections <- g1.Gc.minor_collections - g0.Gc.minor_collections;
-          ls.major_collections <- g1.Gc.major_collections - g0.Gc.major_collections;
-          y
-    in
-    let results = Array.make n y0 in
+    (* Every slot, slot 0 included, writes its own cell; [Array.map]
+       copies the results out, and since it builds its array from the
+       first result, float results come back as a flat float array. *)
+    let cells = Array.make n None in
     let failure = Atomic.make None in
     let run i =
       match f xs.(i) with
-      | y -> results.(i) <- y
+      | y -> cells.(i) <- Some y
       | exception e -> note_failure failure i e (Printexc.get_raw_backtrace ())
     in
-    run_job ~jobs ~start:1 ~n ~chunk ~probe ~run;
+    (match probe with
+    | None -> run_job ~jobs ~n ~chunk ~probe ~run
+    | Some _ ->
+        (* Spans follow the work: each slot collects its own, and the
+           caller files them under its open span in slot order. *)
+        let slots = Array.init n (fun _ -> Obs.slot ()) in
+        run_job ~jobs ~n ~chunk ~probe ~run:(fun i -> Obs.in_slot slots.(i) (fun () -> run i));
+        Obs.attach_slots slots);
     (match Atomic.get failure with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());
-    results
+    Array.map Option.get cells
   end
 
 let parallel_map_list ?jobs ?chunk f xs =

@@ -35,12 +35,15 @@
     measures per-item cost chunk by chunk and aims for roughly 200 µs
     of work per claim, so cheap items get amortized into big chunks
     while expensive items split down to singletons that others can
-    steal.  Slot 0 runs on the caller before the fan-out (it seeds the
-    result array, keeping float results unboxed and avoiding a
-    per-slot option box).  The caller works like any other lane and
-    then {e parks on a condition variable} until the last chunk
-    retires — there is no spin-join, and idle workers sleep between
-    jobs on the same mechanism.
+    steal.  The caller publishes the job before it claims anything, so
+    the workers start on their ranges at once; it then works like any
+    other lane — slot 0 is an ordinary slot at the front of lane 0's
+    range — and {e parks on a condition variable} until the last chunk
+    retires.  There is no spin-join, and idle workers sleep between
+    jobs on the same mechanism.  Each slot writes its result into its
+    own cell; the cells are copied out with [Array.map], which sizes
+    its array from the first result, so a float-valued map still
+    returns a flat (unboxed) float array.
 
     Exceptions raised by work items are captured (lowest slot wins)
     and the first one {e in input order} is re-raised with its
@@ -144,7 +147,10 @@ end
     as a single-lane run — [profile --par] compares the same
     workload's sequential and parallel run records to split the
     scaling gap into serial sections, work inflation, pool overhead
-    and idle time (see {!Gap}).  With the registry disabled, none of
+    and idle time (see {!Gap}).  A pooled run also gives each slot its
+    own {!Orianna_obs.Obs.slot}, so the spans a slot opens end up under
+    the span that was open where [parallel_map] was called, in slot
+    order, whichever lane ran it.  With the registry disabled, none of
     this exists — the claim loop is the bare CAS plus one clock pair
     per chunk for cost adaptation. *)
 

@@ -58,6 +58,49 @@ let test_exception_first_slot () =
      one in input order, independent of completion order. *)
   Alcotest.(check (option string)) "first failing slot re-raised" (Some "50") raised
 
+(* Slot 0 is an ordinary slot: here it fails after a later slot has
+   already failed on another lane, yet it is still the first failure
+   in input order. *)
+let test_exception_slot0_first () =
+  let slow_fail i =
+    for k = 1 to 200_000 do
+      ignore (Sys.opaque_identity (sin (float_of_int k)))
+    done;
+    failwith (string_of_int i)
+  in
+  List.iter
+    (fun jobs ->
+      let raised =
+        try
+          ignore
+            (Pool.parallel_map ~jobs ~chunk:1
+               (fun i -> if i = 0 then slow_fail i else if i = 5 then failwith "5" else i)
+               (Array.init 8 Fun.id));
+          None
+        with Failure msg -> Some msg
+      in
+      Alcotest.(check (option string)) (Printf.sprintf "jobs=%d" jobs) (Some "0") raised)
+    [ 2; 4 ]
+
+let test_nested_in_slot0_sequential () =
+  (* Whatever lane runs slot 0, a map issued inside it stays on that
+     lane, like a map inside any other slot. *)
+  let outer =
+    Pool.parallel_map ~jobs:4 ~chunk:1
+      (fun _ ->
+        let lane = Pool.self_lane () in
+        Array.for_all (fun l -> l = lane)
+          (Pool.parallel_map ~jobs:4 (fun _ -> Pool.self_lane ()) (Array.init 16 Fun.id)))
+      (Array.init 6 Fun.id)
+  in
+  Alcotest.(check bool) "slot 0's inner map stayed on its lane" true outer.(0);
+  Alcotest.(check bool) "every inner map stayed on its lane" true (Array.for_all Fun.id outer)
+
+let test_float_results_flat () =
+  let out = Pool.parallel_map ~jobs:2 (fun i -> float_of_int i *. 0.5) (Array.init 33 Fun.id) in
+  Alcotest.(check int) "flat float array" Obj.double_array_tag (Obj.tag (Obj.repr out));
+  Alcotest.(check (float 0.0)) "last slot" 16.0 out.(32)
+
 let test_map_reduce_deterministic () =
   let xs = Array.init 64 (fun i -> float_of_int (i + 1)) in
   let map x = sin x in
@@ -618,6 +661,12 @@ let () =
             test_parallel_map_identical;
           Alcotest.test_case "parallel_map preserves input order" `Quick test_parallel_map_order;
           Alcotest.test_case "first failing slot re-raised" `Quick test_exception_first_slot;
+          Alcotest.test_case "slot 0's failure wins over a later one" `Quick
+            test_exception_slot0_first;
+          Alcotest.test_case "nested map inside slot 0 runs sequentially" `Quick
+            test_nested_in_slot0_sequential;
+          Alcotest.test_case "float results stay a flat float array" `Quick
+            test_float_results_flat;
           Alcotest.test_case "map_reduce folds in input order" `Quick test_map_reduce_deterministic;
           Alcotest.test_case "nested parallel_map runs sequentially" `Quick
             test_nested_runs_sequentially;

@@ -6,9 +6,10 @@
    failing item raises exactly what the sequential map raises.  The
    QCheck properties drive those dimensions directly — including
    forcing adversarial steal orders through the [Pool.Testing] hooks —
-   and the differential tests replay all four production fan-out sites
+   and the differential tests replay the production fan-out sites
    (generate / faults / chaos / sessions) at j1 vs j4, comparing the
-   full JSON reports byte-for-byte via [Util_jdiff].
+   full JSON reports byte-for-byte via [Util_jdiff], and the frame's
+   -O 3 streams and its span tree at j1 vs j2 vs j4.
 
    Two scheduler-quality assertions ride along: the [Gap]
    decomposition must account for the measured scaling gap within 1%,
@@ -243,8 +244,8 @@ let test_gap_accounting_synthetic () =
 
 (* ---------- pathological skew ---------- *)
 
-(* One item costs ~100x the rest and does not sit in slot 0 (slot 0
-   runs serially on the caller).  Without stealing, the lane whose
+(* One item costs ~100x the rest (slot 137, in lane 1's initial range
+   at 4 lanes).  Without stealing, the lane whose
    fixed range contains the heavy item finishes long after the others;
    with chunk-granular stealing the idle fraction must stay small.
    Only asserted where >= 4 real cores exist — on smaller containers
@@ -384,6 +385,64 @@ let test_jdiff_sessions () =
         fun () -> Util_ci.sessions_run ~solves:40 `Manhattan );
     ]
 
+(* The frame fans its five streams out over the pool, so the streams
+   and the report must not depend on the lanes or the steal order. *)
+let test_frame_streams () =
+  let reversed ~lane:_ ~lanes = Array.init lanes (fun i -> lanes - 1 - i) in
+  List.iter
+    (fun (app : App.t) ->
+      let frame () =
+        let f = Pipeline.frame ~opt_level:3 app ~seed:42 in
+        ( List.map Orianna_isa.Program.hash
+            ((f.Pipeline.program :: List.map snd f.Pipeline.algo_programs)
+            @ [ f.Pipeline.dense_program ]),
+          f.Pipeline.opt_report )
+      in
+      let j1 = with_jobs 1 frame in
+      List.iter
+        (fun (what, run) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s -O 3 streams and report: %s = jobs 1" app.App.name what)
+            true (run () = j1))
+        [
+          ("jobs 2", fun () -> with_jobs 2 frame);
+          ("jobs 4", fun () -> with_jobs 4 frame);
+          ("forced steals", fun () -> with_jobs 4 (fun () -> with_sched ~order:reversed ~chunk:1 frame));
+        ])
+    App.all
+
+(* Spans follow the work across lanes: the span tree of a frame and
+   its DSE, without durations, start times and gc.* attributes, is the
+   one the sequential run builds. *)
+let test_span_tree () =
+  let rec render depth (s : Obs.span) =
+    let attrs =
+      List.filter (fun (k, _) -> not (String.starts_with ~prefix:"gc." k)) s.Obs.attrs
+    in
+    String.make (2 * depth) ' ' ^ s.Obs.name
+    ^ String.concat "" (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k v) attrs)
+    ^ "\n"
+    ^ String.concat "" (List.map (render (depth + 1)) s.Obs.children)
+  in
+  let tree jobs =
+    with_jobs jobs (fun () ->
+        Obs.enable ();
+        Obs.reset ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.disable ();
+            Obs.reset ())
+          (fun () ->
+            let f = Pipeline.frame ~opt_level:3 App.mobile_robot ~seed:42 in
+            ignore (Pipeline.generate f.Pipeline.program);
+            String.concat "" (List.map (render 0) (Obs.spans ()))))
+  in
+  let j1 = tree 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string) (Printf.sprintf "span tree at jobs %d = jobs 1" jobs) j1 (tree jobs))
+    [ 2; 4 ]
+
 let () =
   Alcotest.run "par_sched"
     [
@@ -411,5 +470,9 @@ let () =
             test_jdiff_faults;
           Alcotest.test_case "chaos JSON identical at j1/j4" `Quick test_jdiff_chaos;
           Alcotest.test_case "sessions JSON identical at j1/j4" `Quick test_jdiff_sessions;
+          Alcotest.test_case "frame -O 3 streams identical at j1/j2/j4 and forced steals" `Quick
+            test_frame_streams;
+          Alcotest.test_case "frame + generate span tree identical at j1/j2/j4" `Quick
+            test_span_tree;
         ] );
     ]
